@@ -133,7 +133,7 @@ ExperimentConfig::key() const
 Runner::Runner(std::string cacheDir)
     : cacheDir_(std::move(cacheDir)), traceDir_(envTraceDir())
 {
-    // Multi-tenant farms: $VCOMA_CACHE_TENANT namespaces this
+    // Multi-tenant caches: $VCOMA_CACHE_TENANT namespaces this
     // runner's entries into a per-tenant subdirectory with its own
     // pruning budget, so one client's sweep can never evict another
     // tenant's warm results. The global budget keeps bounding the
@@ -404,37 +404,6 @@ Runner::tryRun(const ExperimentConfig &cfg, bool *freshlyExecuted)
     return &memo_.emplace(key, std::move(stats)).first->second;
 }
 
-std::size_t
-Runner::preloadCache()
-{
-    if (cacheDir_.empty())
-        return 0;
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    std::size_t loaded = 0;
-    for (const fs::directory_entry &de :
-         fs::directory_iterator(cacheDir_, ec)) {
-        if (ec)
-            break;
-        if (!de.is_regular_file(ec) ||
-            de.path().extension() != ".txt")
-            continue;
-        const std::string key = de.path().stem().string();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (memo_.count(key))
-                continue;
-        }
-        RunStats stats;
-        if (!load(de.path().string(), stats))
-            continue;  // truncated/foreign file: not an error
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (memo_.emplace(key, std::move(stats)).second)
-            ++loaded;
-    }
-    return loaded;
-}
-
 void
 Runner::executeAndMemoise(const ExperimentConfig &cfg,
                           const std::string &key)
@@ -484,7 +453,8 @@ Runner::failures() const
 }
 
 std::vector<const RunStats *>
-Runner::runAll(std::span<const ExperimentConfig> cfgs)
+Runner::runAll(std::span<const ExperimentConfig> cfgs,
+               std::vector<bool> *freshlyExecuted)
 {
     std::vector<std::string> keys;
     keys.reserve(cfgs.size());
@@ -541,6 +511,11 @@ Runner::runAll(std::span<const ExperimentConfig> cfgs)
     for (const auto &key : keys) {
         auto it = memo_.find(key);
         results.push_back(it != memo_.end() ? &it->second : nullptr);
+    }
+    if (freshlyExecuted) {
+        freshlyExecuted->assign(cfgs.size(), false);
+        for (std::size_t i : toRun)
+            (*freshlyExecuted)[i] = results[i] != nullptr;
     }
     return results;
 }
@@ -785,8 +760,8 @@ Runner::storeOnce(const std::string &path, const RunStats &stats,
         << stats.tlbWritebackAccesses << " " << stats.tlbWritebackMisses
         << "\n";
     // 17 significant digits round-trip any double exactly, so a sheet
-    // reloaded from disk is bit-identical to the one simulated (the
-    // service's byte-exact replies depend on it).
+    // reloaded from disk is bit-identical to the one simulated (warm
+    // and cold sweeps emit the same sheet bytes).
     out << "pressure" << std::setprecision(17);
     for (double v : stats.pressureProfile)
         out << " " << v;

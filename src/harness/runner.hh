@@ -66,7 +66,7 @@ struct ExperimentConfig
      * check/fault_injector.hh), empty for a normal simulation. A
      * poisoned config deterministically corrupts coherence state and
      * fails its invariant sweep, so failure paths (graceful runAll
-     * sweeps, the service's per-job error replies) can be exercised
+     * sweeps, the client's per-config failure lines) can be exercised
      * end to end. Appears in key() only when set, so ordinary cache
      * keys are unchanged.
      */
@@ -120,7 +120,7 @@ class Runner
      *
      * When @p freshlyExecuted is non-null it is set to true iff this
      * call actually simulated (a miss in both the memo and the disk
-     * cache) — the service layer's cache-hit accounting.
+     * cache).
      */
     const RunStats *tryRun(const ExperimentConfig &cfg,
                            bool *freshlyExecuted = nullptr);
@@ -136,19 +136,14 @@ class Runner
      * failures(), and every other config still runs. Set
      * $VCOMA_STRICT=1 to restore fail-fast (the first failure is
      * rethrown once the pool drains).
+     *
+     * When @p freshlyExecuted is non-null, slot i is set to true iff
+     * this call simulated config i; a key repeated within the batch
+     * simulates once, so only its first slot reads true.
      */
     std::vector<const RunStats *>
-    runAll(std::span<const ExperimentConfig> cfgs);
-
-    /**
-     * Warm the in-memory memo from every readable disk-cache entry
-     * (*.txt under the cache directory; the key is the file stem).
-     * A restarted farm worker calls this to recover its warm state
-     * from the durable layer instead of re-simulating its slice.
-     * Unreadable or truncated entries are skipped, never fatal.
-     * @return the number of entries loaded into the memo.
-     */
-    std::size_t preloadCache();
+    runAll(std::span<const ExperimentConfig> cfgs,
+           std::vector<bool> *freshlyExecuted = nullptr);
 
     /** Every failed config recorded so far, in key order. */
     std::vector<FailedRun> failures() const;
@@ -173,7 +168,7 @@ class Runner
      * shared namespace). When set, this runner's entries live in
      * `<cacheDir>/<tenant>/` and pruning applies the tenant budget
      * ($VCOMA_CACHE_TENANT_MAX_MB, falling back to
-     * $VCOMA_CACHE_MAX_MB) to that subdirectory only — one farm
+     * $VCOMA_CACHE_MAX_MB) to that subdirectory only — one
      * client can never evict another tenant's warm results, and the
      * shared root's non-recursive pruning never reaches into tenant
      * subdirectories. Values that are not a plain directory name

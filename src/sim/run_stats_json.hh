@@ -14,7 +14,7 @@
  *    a process-wide lock keeps lines whole when Runner::runAll
  *    finishes several simulations concurrently.
  *
- * The output parses with tools/check_stats_json.py and with the
+ * The output parses with `python3 -m vcoma_sweep check-stats` and the
  * in-tree vcoma::JsonValue parser (see tests/test_stats_json.cc).
  */
 

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the common layer: stats counters/distributions, the table
- * printer, configuration validation and scheme traits.
+ * printer, configuration validation, scheme traits, environment
+ * knobs and saturating Tick arithmetic.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -16,6 +18,8 @@
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/types.hh"
+#include "net/network.hh"
 #include "translation/scheme.hh"
 #include "translation/system_builder.hh"
 
@@ -402,4 +406,34 @@ TEST(EnvScaledFlag, SurroundingWhitespaceIsTolerated)
         EnvGuard env("VCOMA_TEST_FLAG", "\t7\n");
         EXPECT_EQ(envScaledFlag("VCOMA_TEST_FLAG", 4096), 7u);
     }
+}
+
+// Saturating Tick math (the overflow guard of Resource::acquire).
+
+TEST(SaturatingMath, AddSaturatesInsteadOfWrapping)
+{
+    constexpr std::uint64_t top =
+        std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(saturatingAdd(1, 2), 3u);
+    EXPECT_EQ(saturatingAdd(top, 0), top);
+    EXPECT_EQ(saturatingAdd(top, 1), top);
+    EXPECT_EQ(saturatingAdd(top - 5, 10), top);
+    EXPECT_EQ(saturatingAdd(top / 2, top / 2 + 1), top);
+    EXPECT_EQ(saturatingAdd(0, top), top);
+}
+
+TEST(SaturatingMath, ResourceAcquireNeverWrapsFreeTime)
+{
+    constexpr Tick top = std::numeric_limits<Tick>::max();
+    Resource r;
+    // A malformed huge reservation pins the resource at "never free"
+    // instead of wrapping into the past and granting free slots.
+    EXPECT_EQ(r.acquire(top - 10, 100), top - 10);
+    EXPECT_EQ(r.freeAt(), top);
+    // Later acquires queue behind the saturated time, monotonic.
+    EXPECT_EQ(r.acquire(0, 5), top);
+    EXPECT_EQ(r.freeAt(), top);
+    r.reset();
+    EXPECT_EQ(r.acquire(10, 5), 10u);
+    EXPECT_EQ(r.freeAt(), 15u);
 }

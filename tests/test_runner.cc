@@ -439,6 +439,62 @@ TEST(Runner, StrictModeFailsFast)
     EXPECT_THROW(runner.runAll(cfgs), SimulationError);
 }
 
+TEST(Runner, RunAllMixedPoisonedBatchKeepsOrderAndRecords)
+{
+    // A FaultInjector-poisoned config amid healthy ones: results in
+    // submission order, the poisoned slot nullptr and recorded.
+    std::vector<ExperimentConfig> cfgs(3, tinyExperiment());
+    cfgs[1].workload = "STRIDE";
+    cfgs[1].injectFault = "corrupt-am-state";
+    cfgs[2].seed = 7;
+
+    EnvGuard strict("VCOMA_STRICT", nullptr);
+    Runner runner("");
+    const auto results = runner.runAll(cfgs);
+    EXPECT_NE(results.at(0), nullptr);
+    EXPECT_EQ(results.at(1), nullptr);
+    EXPECT_NE(results.at(2), nullptr);
+    const auto failures = runner.failures();
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].key, cfgs[1].key());
+    EXPECT_NE(failures[0].error.find("corrupt-am-state"),
+              std::string::npos);
+}
+
+TEST(Runner, UnknownFaultClassFailsTheConfigNotTheRunner)
+{
+    ExperimentConfig bad = tinyExperiment();
+    bad.injectFault = "no-such-class";
+    Runner runner("");
+    EXPECT_EQ(runner.tryRun(bad), nullptr);
+    EXPECT_NE(runner.failureMessage(bad.key()).find("no-such-class"),
+              std::string::npos);
+    // The runner keeps serving after a failure.
+    EXPECT_NE(runner.tryRun(tinyBatch()[2]), nullptr);
+}
+
+TEST(Runner, RunAllReportsWhichSlotsItSimulated)
+{
+    TempDir dir;
+    const std::vector<ExperimentConfig> cfgs = tinyBatch();
+    EnvGuard env("VCOMA_JOBS", "4");
+    std::vector<bool> fresh;
+    Runner(dir.path.string()).runAll(cfgs, &fresh);
+    EXPECT_EQ(fresh, std::vector<bool>(cfgs.size(), true)) << "cold";
+    Runner(dir.path.string()).runAll(cfgs, &fresh);
+    EXPECT_EQ(fresh, std::vector<bool>(cfgs.size(), false)) << "warm";
+
+    // A key repeated within one batch simulates once, in its first
+    // slot; memo hits in a later batch are not fresh either.
+    Runner runner("");
+    const std::vector<ExperimentConfig> dup{cfgs[0], cfgs[1], cfgs[0]};
+    runner.runAll(dup, &fresh);
+    EXPECT_EQ(fresh, (std::vector<bool>{true, true, false}));
+    EXPECT_EQ(runner.executed(), 2u);
+    runner.runAll(dup, &fresh);
+    EXPECT_EQ(fresh, std::vector<bool>(dup.size(), false));
+}
+
 TEST(Runner, TryRunReturnsStatsOnSuccess)
 {
     Runner runner("");

@@ -1,31 +1,16 @@
 /**
  * @file
- * vcoma_client — command-line client of the vcoma_served daemon (or
- * the farm router; same protocol, either a socket path or
- * tcp:host:port).
+ * vcoma_client — runs a sweep through a local Runner, one sheet per
+ * config:
  *
- *   vcoma_client ping
- *   vcoma_client run --workload FFT --scheme VCOMA --out fft.json
- *   vcoma_client sweep --workloads RADIX,FFT --schemes L0,VCOMA \
- *                      --scale 0.1 --out-dir sheets/
- *   vcoma_client sweep --farm --socket tcp:127.0.0.1:7700 \
- *                      --workloads RADIX,FFT --out-dir sheets/
  *   vcoma_client direct --workloads RADIX,FFT --schemes L0,VCOMA \
- *                      --scale 0.1 --out-dir direct/   # no daemon
- *   vcoma_client stats
- *   vcoma_client shutdown
+ *                      --scale 0.1 --out-dir direct/
  *
- * `direct` runs the same configs through a local Runner and writes
- * sheets with the same names and bytes the daemon would return, so a
- * served sweep can be byte-compared against ground truth (`diff -r`).
- * Sheets are the exact writeRunStatsJson() output plus one newline.
+ * The configs (workloads outer, schemes inner) run as one
+ * Runner::runAll batch on $VCOMA_JOBS threads. Sheets are the exact
+ * writeRunStatsJson() output plus one newline.
  *
- * `sweep --farm` submits configs one at a time through
- * runResilient() — bounded retries, exponential backoff with jitter,
- * reconnect on a lost connection — so the sweep rides out worker
- * deaths and router failovers and still produces the same bytes.
- *
- * `sweep`/`direct --jsonl FILE` additionally append one stats record
+ * `--jsonl FILE` additionally appends one stats record
  * per config — the exact writeRunStatsJson() bytes, i.e. the same
  * schema $VCOMA_STATS_JSON produces — in submission order, so
  * machine consumers (tools/vcoma_sweep) read one stable JSONL
@@ -45,9 +30,9 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "service/client.hh"
-#include "service/wire.hh"
+#include "harness/runner.hh"
 #include "sim/run_stats_json.hh"
+#include "translation/scheme.hh"
 
 using namespace vcoma;
 
@@ -58,42 +43,19 @@ namespace
 usage(int code)
 {
     std::cout <<
-        "usage: vcoma_client [--socket PATH] COMMAND [options]\n"
-        "commands:\n"
-        "  ping                       liveness probe\n"
-        "  run [config] [--out FILE]  submit one job, print/write sheet\n"
-        "  sweep [sweep] --out-dir D  submit a batch, one sheet per file\n"
-        "  direct [sweep] --out-dir D same sheets via a local Runner\n"
-        "  stats                      print the /stats reply\n"
-        "  shutdown                   ask the daemon to drain and exit\n"
-        "config options (run):\n"
+        "usage: vcoma_client direct [sweep] --out-dir D\n"
+        "  run the sweep through a local Runner, one sheet per file\n"
+        "config options:\n"
         "  --workload NAME --scheme S --entries N --assoc N --nodes N\n"
         "  --scale X --seed N --untimed --no-wback-tlb --raytrace-v2\n"
         "  --am-assoc N --xlat-penalty N --inject-fault CLASS\n"
-        "sweep options (sweep/direct): config options, plus\n"
+        "sweep options: config options, plus\n"
         "  --workloads A,B,...        instead of --workload\n"
         "  --schemes S1,S2,...        instead of --scheme\n"
         "  --jsonl FILE               append one stats record per\n"
         "                             config (VCOMA_STATS_JSON schema,\n"
         "                             submission order); may replace\n"
-        "                             --out-dir\n"
-        "  --farm                     submit configs one at a time with\n"
-        "                             retry/backoff (rides out worker\n"
-        "                             deaths behind a farm router)\n"
-        "shared options:\n"
-        "  --socket EP                daemon endpoint: socket path or\n"
-        "                             tcp:HOST:PORT (default vcoma.sock)\n"
-        "  --priority N               larger runs first (default 0)\n"
-        "  --deadline-ms N            shed if still queued after N ms\n"
-        "  --timeout-ms N             connect timeout (default 10000)\n"
-        "  --request-timeout-ms N     per-request I/O deadline; a hung\n"
-        "                             server fails typed instead of\n"
-        "                             hanging (default 300000, or\n"
-        "                             $VCOMA_REQUEST_TIMEOUT_MS)\n"
-        "  --retries N                extra attempts under --farm\n"
-        "                             (default 4, or $VCOMA_RETRY_MAX)\n"
-        "  --retry-base-ms N          backoff base (default 50)\n"
-        "  --retry-cap-ms N           backoff cap (default 2000)\n";
+        "                             --out-dir\n";
     std::exit(code);
 }
 
@@ -111,29 +73,13 @@ splitList(const std::string &s)
 
 struct Options
 {
-    std::string socket = "vcoma.sock";
     std::string command;
-    std::string outFile;
     std::string outDir;
     std::string jsonlFile;
     std::vector<std::string> workloads{"RADIX"};
     std::vector<std::string> schemes{"VCOMA"};
     ExperimentConfig base;
-    int priority = 0;
-    std::uint64_t deadlineMs = 0;
-    int timeoutMs = 10000;
-    bool farm = false;
-    ClientOptions client = ServiceClient::optionsFromEnv();
 };
-
-/** One connection configured from the command line + environment. */
-ServiceClient
-connectTo(const Options &opt)
-{
-    ClientOptions copts = opt.client;
-    copts.connectTimeoutMs = opt.timeoutMs;
-    return ServiceClient(opt.socket, copts);
-}
 
 Options
 parse(int argc, char **argv)
@@ -148,11 +94,7 @@ parse(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--socket")
-            opt.socket = value(i);
-        else if (arg == "--out")
-            opt.outFile = value(i);
-        else if (arg == "--out-dir")
+        if (arg == "--out-dir")
             opt.outDir = value(i);
         else if (arg == "--jsonl")
             opt.jsonlFile = value(i);
@@ -192,23 +134,6 @@ parse(int argc, char **argv)
             opt.base.xlatPenalty = std::stoull(value(i));
         else if (arg == "--inject-fault")
             opt.base.injectFault = value(i);
-        else if (arg == "--priority")
-            opt.priority = std::stoi(value(i));
-        else if (arg == "--deadline-ms")
-            opt.deadlineMs = std::stoull(value(i));
-        else if (arg == "--timeout-ms")
-            opt.timeoutMs = std::stoi(value(i));
-        else if (arg == "--request-timeout-ms")
-            opt.client.requestTimeoutMs = std::stoi(value(i));
-        else if (arg == "--retries")
-            opt.client.maxRetries =
-                static_cast<unsigned>(std::stoul(value(i)));
-        else if (arg == "--retry-base-ms")
-            opt.client.backoffBaseMs = std::stoull(value(i));
-        else if (arg == "--retry-cap-ms")
-            opt.client.backoffCapMs = std::stoull(value(i));
-        else if (arg == "--farm")
-            opt.farm = true;
         else if (arg == "--help" || arg == "-h")
             usage(0);
         else if (!arg.empty() && arg[0] == '-') {
@@ -236,7 +161,7 @@ sweepConfigs(const Options &opt)
         for (const std::string &s : opt.schemes) {
             ExperimentConfig cfg = opt.base;
             cfg.workload = w;
-            cfg.scheme = parseSchemeToken(s);
+            cfg.scheme = parseScheme(s);
             cfgs.push_back(cfg);
         }
     }
@@ -303,81 +228,6 @@ reportConfig(const std::string &key, bool cached)
 }
 
 int
-runOne(Options &opt)
-{
-    ExperimentConfig cfg = opt.base;
-    cfg.workload = opt.workloads.at(0);
-    cfg.scheme = parseSchemeToken(opt.schemes.at(0));
-    ServiceClient client = connectTo(opt);
-    const ServiceClient::Outcome out =
-        client.run(cfg, opt.priority, opt.deadlineMs);
-    if (!out.ok) {
-        std::cerr << "vcoma_client: "
-                  << (out.shed      ? "shed: "
-                      : out.timedOut ? "timed out: "
-                                     : "failed: ")
-                  << out.error << "\n";
-        return out.shed ? 3 : 1;
-    }
-    if (!opt.outFile.empty())
-        writeSheet(opt.outFile, out.statsJson);
-    else
-        std::cout << out.statsJson << "\n";
-    std::cerr << "vcoma_client: " << cfg.key()
-              << (out.cached ? " (cached)" : " (simulated)") << "\n";
-    return 0;
-}
-
-int
-runSweep(Options &opt)
-{
-    if (opt.outDir.empty() && opt.jsonlFile.empty()) {
-        std::cerr << "sweep needs --out-dir and/or --jsonl\n";
-        usage(2);
-    }
-    if (!opt.outDir.empty())
-        std::filesystem::create_directories(opt.outDir);
-    JsonlSink jsonl(opt.jsonlFile);
-    const std::vector<ExperimentConfig> cfgs = sweepConfigs(opt);
-    ServiceClient client = connectTo(opt);
-    std::vector<ServiceClient::Outcome> outcomes;
-    if (opt.farm) {
-        // One resilient submission per config: a lost connection or
-        // timeout retries with backoff, so a worker SIGKILLed
-        // mid-sweep costs a resubmit, not the sweep.
-        outcomes.reserve(cfgs.size());
-        for (const ExperimentConfig &cfg : cfgs)
-            outcomes.push_back(client.runResilient(
-                cfg, opt.priority, opt.deadlineMs));
-    } else {
-        outcomes = client.batch(cfgs, opt.priority, opt.deadlineMs);
-    }
-    int rc = 0;
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        const auto &out = outcomes.at(i);
-        if (!out.ok) {
-            std::cerr << "vcoma_client: " << cfgs[i].key() << ": "
-                      << (out.shed      ? "shed: "
-                          : out.timedOut ? "timed out: "
-                                         : "failed: ")
-                      << out.error << "\n";
-            jsonl.failure(cfgs[i].key(), out.error);
-            rc = out.shed ? 3 : 1;
-            continue;
-        }
-        reportConfig(cfgs[i].key(), out.cached);
-        jsonl.record(out.statsJson);
-        if (!opt.outDir.empty())
-            writeSheet(opt.outDir + "/" + cfgs[i].key() + ".json",
-                       out.statsJson);
-    }
-    std::cerr << "vcoma_client: " << cfgs.size() << " config(s) -> "
-              << (opt.outDir.empty() ? opt.jsonlFile : opt.outDir)
-              << "\n";
-    return rc;
-}
-
-int
 runDirect(Options &opt)
 {
     if (opt.outDir.empty() && opt.jsonlFile.empty()) {
@@ -387,11 +237,14 @@ runDirect(Options &opt)
     if (!opt.outDir.empty())
         std::filesystem::create_directories(opt.outDir);
     JsonlSink jsonl(opt.jsonlFile);
+    const std::vector<ExperimentConfig> cfgs = sweepConfigs(opt);
     Runner runner;
+    std::vector<bool> fresh;
+    const std::vector<const RunStats *> results = runner.runAll(cfgs, &fresh);
     int rc = 0;
-    for (const ExperimentConfig &cfg : sweepConfigs(opt)) {
-        bool fresh = false;
-        const RunStats *stats = runner.tryRun(cfg, &fresh);
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        const ExperimentConfig &cfg = cfgs[i];
+        const RunStats *stats = results[i];
         if (!stats) {
             std::cerr << "vcoma_client: " << cfg.key() << ": failed: "
                       << runner.failureMessage(cfg.key()) << "\n";
@@ -400,7 +253,7 @@ runDirect(Options &opt)
             rc = 1;
             continue;
         }
-        reportConfig(cfg.key(), !fresh);
+        reportConfig(cfg.key(), !fresh[i]);
         std::ostringstream sheet;
         writeRunStatsJson(sheet, *stats);
         jsonl.record(sheet.str());
@@ -417,36 +270,8 @@ int
 main(int argc, char **argv)
 try {
     Options opt = parse(argc, argv);
-
-    if (opt.command == "ping") {
-        ServiceClient client = connectTo(opt);
-        if (!client.ping()) {
-            std::cerr << "vcoma_client: no pong\n";
-            return 1;
-        }
-        std::cout << "pong\n";
-        return 0;
-    }
-    if (opt.command == "run")
-        return runOne(opt);
-    if (opt.command == "sweep")
-        return runSweep(opt);
     if (opt.command == "direct")
         return runDirect(opt);
-    if (opt.command == "stats") {
-        ServiceClient client = connectTo(opt);
-        std::cout << client.statsLine() << "\n";
-        return 0;
-    }
-    if (opt.command == "shutdown") {
-        ServiceClient client = connectTo(opt);
-        if (!client.shutdown()) {
-            std::cerr << "vcoma_client: shutdown not acknowledged\n";
-            return 1;
-        }
-        std::cout << "draining\n";
-        return 0;
-    }
     std::cerr << "unknown command '" << opt.command << "'\n";
     usage(2);
 } catch (const std::exception &e) {

@@ -1,18 +1,16 @@
 """vcoma_sweep -- declarative sweep orchestration + figure pipeline.
 
 A sweep is declared as data (a JSON spec: schemes x workloads x knobs,
-cross-product expansion with per-config overrides), submitted through
-one of three backends (`direct` = a local Runner via `vcoma_client
-direct`, `service` = one daemon, `farm` = resilient per-config
-submission through the farm router), collected from the client's
-`--jsonl` output into one normalized result table with provenance,
-and rendered as the paper's Fig. 8-11 SVGs plus a BENCH_*.json
-history dashboard.
+cross-product expansion with per-config overrides), run in-process
+by `vcoma_client direct` (one Runner::runAll batch per invocation),
+collected from the client's `--jsonl` output into one normalized
+result table with provenance, and rendered as the paper's Fig. 8-11
+SVGs plus a BENCH_*.json history dashboard.
 
 Everything is Python stdlib only -- the SVGs are emitted directly, so
 CI needs no matplotlib -- and every simulation byte still comes out
 of the C++ tree: the same spec produces byte-identical collected
-JSONL whichever backend ran it.
+JSONL from a cold or a warm cache.
 
 Entry point: ``python3 -m vcoma_sweep --help`` (run from `tools/`, or
 with `tools/` on PYTHONPATH).

@@ -7,19 +7,17 @@ Commands:
   collect SPEC    re-collect an existing JSONL into results.json
   render SPEC     re-render figures from an existing results.json
   dashboard       build the BENCH_*.json history dashboard alone
-  check-stats     (vcoma_sweep.checks.stats -- ex check_stats_json.py)
-  check-perf      (vcoma_sweep.checks.perf -- ex check_perf_trajectory.py)
+  check-stats     validate stats JSONL, traces, BENCH reports
+  check-perf      gate BENCH_perf_core.json against the baseline
 
 `run` is the push-button paper pipeline:
 
-  python3 -m vcoma_sweep run specs/paper_grid.json --backend direct
-  python3 -m vcoma_sweep run specs/paper_grid.json --backend farm \\
-      --socket tcp:127.0.0.1:7700
+  python3 -m vcoma_sweep run specs/paper_grid.json
 
 Spec paths resolve literally first, then against the stock specs
 shipped in vcoma_sweep/specs/. Everything lands in --out-dir
 (default sweep_out/<spec name>/): results.jsonl (byte-identical
-across backends), results.json (the normalized table), the declared
+cold or warm), results.json (the normalized table), the declared
 fig*.svg files and dashboard.html.
 """
 
@@ -48,17 +46,11 @@ def die(msg):
 def add_backend_flags(ap):
     ap.add_argument("--backend", default="direct",
                     choices=list(B.BACKENDS),
-                    help="how to run the simulations (default direct)")
-    ap.add_argument("--socket", default=None,
-                    help="daemon/farm endpoint (service/farm backends): "
-                         "socket path or tcp:HOST:PORT")
+                    help="accepted for existing command lines; "
+                         "`direct` is the only value")
     ap.add_argument("--client", default=None,
                     help="vcoma_client binary (default: $VCOMA_CLIENT "
                          "or the build tree)")
-    ap.add_argument("--retries", type=int, default=None,
-                    help="farm backend: per-config retry budget")
-    ap.add_argument("--request-timeout-ms", type=int, default=None,
-                    help="farm backend: per-request I/O deadline")
 
 
 def out_dir_for(args, spec):
@@ -66,11 +58,7 @@ def out_dir_for(args, spec):
 
 
 def backend_options(args):
-    if args.backend in ("service", "farm") and not args.socket:
-        die(f"--backend {args.backend} needs --socket")
-    return B.Options(backend=args.backend, client=args.client,
-                     socket=args.socket, retries=args.retries,
-                     request_timeout_ms=args.request_timeout_ms)
+    return B.Options(backend=args.backend, client=args.client)
 
 
 def cmd_expand(args):
@@ -94,8 +82,7 @@ def cmd_run(args):
             print(line)
         return
     os.makedirs(out_dir, exist_ok=True)
-    say(f"spec {spec.name!r}: {len(configs)} config(s) via "
-        f"{args.backend}")
+    say(f"spec {spec.name!r}: {len(configs)} config(s)")
     result = B.submit(configs, jsonl, options, log=say,
                       strict=not args.keep_going)
     hits = sum(1 for v in result.cached.values() if v)

@@ -1,16 +1,12 @@
-"""CI validators, folded into the package from the original
-stand-alone scripts:
+"""CI validators:
 
   * :mod:`vcoma_sweep.checks.stats` -- validates VCOMA_STATS_JSON
-    JSONL sheets, Chrome traces, BENCH_*.json reports and
-    vcoma_served /stats replies (ex ``tools/check_stats_json.py``).
+    JSONL sheets, Chrome traces and BENCH_*.json reports.
   * :mod:`vcoma_sweep.checks.perf` -- gates BENCH_perf_core.json
-    ratios against bench/perf_baseline.json (ex
-    ``tools/check_perf_trajectory.py``).
+    ratios against bench/perf_baseline.json.
 
-The old script paths remain as thin shims, so existing workflows and
-muscle memory keep working; new callers use
-``python3 -m vcoma_sweep check-stats ...`` / ``check-perf ...``.
+Run them as ``python3 -m vcoma_sweep check-stats ...`` /
+``check-perf ...``.
 """
 
 from . import perf, stats  # noqa: F401

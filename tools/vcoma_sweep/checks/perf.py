@@ -13,7 +13,7 @@ refs/sec on shared CI runners is hopelessly noisy.  A ratio below
 baseline * (1 - tolerance) fails the check.  Absolute rates are
 appended to the trajectory file for trending, never gated.
 
-Usage (module form; `tools/check_perf_trajectory.py` is a shim):
+Usage:
     python3 -m vcoma_sweep check-perf
         [--report BENCH_perf_core.json]
         [--baseline bench/perf_baseline.json]

@@ -1,18 +1,10 @@
-"""Submission backends: expanded configs -> collected JSONL.
+"""Submission: expanded configs -> collected JSONL.
 
-Three backends share one contract -- after submit() returns, the
+Each invocation is `vcoma_client direct`: one Runner::runAll batch,
+in-process. After submit() returns, the
 JSONL file holds exactly one record per expanded config, in spec
 order, each record being the byte-exact writeRunStatsJson() sheet
-(or a {"key":...,"error":...} placeholder for a failed config):
-
-  * ``direct``  -- `vcoma_client direct`: a local Runner, no daemon.
-  * ``service`` -- `vcoma_client sweep` against one vcoma_served.
-  * ``farm``    -- `vcoma_client sweep --farm`: per-config resilient
-    submission (retry/backoff/reconnect) through the farm router.
-
-Because simulations are deterministic and every backend emits the
-same sheet bytes in the same order, a farm-collected JSONL is
-byte-identical to a direct one -- CI diffs them.
+(or a {"key":...,"error":...} placeholder for a failed config).
 
 Invocation planning: configs sharing one knob combination are
 submitted as a single `vcoma_client` call with `--workloads`/
@@ -29,10 +21,10 @@ import time
 
 
 class SubmitError(RuntimeError):
-    """A client invocation failed outright (bad flags, dead daemon)."""
+    """A client invocation failed outright (bad flags, a crash)."""
 
 
-BACKENDS = ("direct", "service", "farm")
+BACKENDS = ("direct",)
 
 
 class Invocation:
@@ -114,35 +106,19 @@ def default_client():
 
 
 class Options:
-    """Backend options (endpoint + farm resilience flags)."""
+    """Which client to run, and in what environment (None = ours)."""
 
-    def __init__(self, backend="direct", client=None, socket=None,
-                 retries=None, request_timeout_ms=None, env=None):
+    def __init__(self, backend="direct", client=None, env=None):
         if backend not in BACKENDS:
             raise SubmitError(f"unknown backend {backend!r} "
                               f"(one of {', '.join(BACKENDS)})")
         self.backend = backend
         self.client = client or default_client()
-        self.socket = socket
-        self.retries = retries
-        self.request_timeout_ms = request_timeout_ms
         self.env = env
 
     def command(self, invocation, jsonl_path):
-        cmd = [self.client]
-        if self.backend in ("service", "farm") and self.socket:
-            cmd += ["--socket", self.socket]
-        cmd += ["direct" if self.backend == "direct" else "sweep"]
-        if self.backend == "farm":
-            cmd += ["--farm"]
-            if self.retries is not None:
-                cmd += ["--retries", str(self.retries)]
-            if self.request_timeout_ms is not None:
-                cmd += ["--request-timeout-ms",
-                        str(self.request_timeout_ms)]
-        cmd += invocation.sweep_args()
-        cmd += ["--jsonl", jsonl_path]
-        return cmd
+        return ([self.client, "direct"] + invocation.sweep_args()
+                + ["--jsonl", jsonl_path])
 
 
 class SubmitResult:

@@ -87,22 +87,5 @@ class BenchCheckTest(unittest.TestCase):
         self.assertIn("git stamp", err)
 
 
-class ShimTest(unittest.TestCase):
-    """The old tools/ entry points must still work."""
-
-    def test_shims_import_and_expose_main(self):
-        import importlib.util
-        here = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))
-        for shim in ("check_stats_json.py",
-                     "check_perf_trajectory.py"):
-            path = os.path.join(here, shim)
-            spec = importlib.util.spec_from_file_location(
-                shim[:-3], path)
-            mod = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(mod)
-            self.assertTrue(callable(mod.main), shim)
-
-
 if __name__ == "__main__":
     unittest.main()

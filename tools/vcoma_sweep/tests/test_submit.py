@@ -80,7 +80,6 @@ class CommandTest(unittest.TestCase):
                          "L0-TLB,V-COMA")
         self.assertEqual(cmd[-2:], ["--jsonl", "out.jsonl"])
         self.assertIn("--untimed", cmd)
-        self.assertNotIn("--farm", cmd)
 
     def test_single_config_uses_singular_flags(self):
         one = B.plan_invocations(self.cfgs[:1])[0]
@@ -89,26 +88,9 @@ class CommandTest(unittest.TestCase):
         self.assertIn("--scheme", cmd)
         self.assertNotIn("--workloads", cmd)
 
-    def test_farm_command(self):
-        opts = B.Options("farm", client="CLIENT", socket="tcp:h:1",
-                         retries=5, request_timeout_ms=2000)
-        cmd = opts.command(self.inv, "out.jsonl")
-        self.assertEqual(cmd[:4], ["CLIENT", "--socket", "tcp:h:1",
-                                   "sweep"])
-        self.assertIn("--farm", cmd)
-        self.assertEqual(cmd[cmd.index("--retries") + 1], "5")
-        self.assertEqual(cmd[cmd.index("--request-timeout-ms") + 1],
-                         "2000")
-
-    def test_service_command(self):
-        cmd = B.Options("service", client="C",
-                        socket="s.sock").command(self.inv, "o.jsonl")
-        self.assertEqual(cmd[:4], ["C", "--socket", "s.sock", "sweep"])
-        self.assertNotIn("--farm", cmd)
-
     def test_unknown_backend_rejected(self):
         with self.assertRaisesRegex(B.SubmitError, "unknown backend"):
-            B.Options("cloud")
+            B.Options("farm")
 
     def test_knob_flags_cover_every_flagged_knob(self):
         cmd = B.Options("direct", client="C").command(self.inv, "o")
