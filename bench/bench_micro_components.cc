@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks of the simulator's hot
- * components: cache lookups, TLB lookups (FA hash vs DM array),
+ * components: cache lookups, TLB lookups (FA flat index vs DM
+ * array), shadow-bank accesses,
  * attraction-memory searches, the coherence fast path, and
  * end-to-end simulated-reference throughput. These bound the wall
  * clock of the paper-reproduction runs.
@@ -13,6 +14,7 @@
 #include "common/rng.hh"
 #include "mem/cache.hh"
 #include "sim/machine.hh"
+#include "tlb/shadow_bank.hh"
 #include "tlb/tlb.hh"
 #include "translation/system_builder.hh"
 #include "workloads/workload.hh"
@@ -121,10 +123,48 @@ BM_SimulatedRefThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_SimulatedRefThroughput)->Unit(benchmark::kMillisecond);
 
+/**
+ * The console reporter, also recording every run into the BenchReport:
+ * <benchmark>.ns_per_op (real time per iteration) and, where the
+ * benchmark sets items processed, <benchmark>.items_per_s.
+ */
+class RecordingReporter : public benchmark::ConsoleReporter
+{
+  public:
+    explicit RecordingReporter(vcoma_bench::BenchReport &report)
+        : report_(report)
+    {
+    }
+
+    void
+    ReportRuns(const std::vector<Run> &runs) override
+    {
+        for (const Run &run : runs) {
+            // A run that skipped or errored has no iterations to time.
+            // (Its flag is error_occurred before google-benchmark 1.8
+            // and skipped after, so test what both versions share.)
+            if (run.iterations == 0)
+                continue;
+            const std::string name = run.benchmark_name();
+            report_.metric(name + ".ns_per_op",
+                           run.GetAdjustedRealTime() * 1e9 /
+                               benchmark::GetTimeUnitMultiplier(
+                                   run.time_unit));
+            const auto items = run.counters.find("items_per_second");
+            if (items != run.counters.end())
+                report_.metric(name + ".items_per_s", items->second.value);
+        }
+        ConsoleReporter::ReportRuns(runs);
+    }
+
+  private:
+    vcoma_bench::BenchReport &report_;
+};
+
 } // namespace
 
 // Expanded BENCHMARK_MAIN() so the run also leaves a BENCH_*.json
-// report like every other bench binary.
+// report like every other bench binary, with every run's numbers.
 int
 main(int argc, char **argv)
 {
@@ -132,7 +172,8 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    benchmark::RunSpecifiedBenchmarks();
+    RecordingReporter reporter(report);
+    benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
     report.finish(nullptr);
     return 0;

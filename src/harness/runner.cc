@@ -625,10 +625,12 @@ Runner::load(const std::string &path, RunStats &stats) const
         ls >> tag;
         if (tag == "workload") {
             stats.workload = line.size() > 9 ? restOf(line, 9) : "";
+            continue;
         } else if (tag == "parameters") {
             stats.parameters = line.size() > 11 ? restOf(line, 11) : "";
+            continue;
         } else if (tag == "scheme") {
-            int v;
+            int v = -1;
             ls >> v;
             // A value outside the registry (corrupt file, or a sheet
             // written by a future version with more schemes) must
@@ -661,6 +663,11 @@ Runner::load(const std::string &path, RunStats &stats) const
             double v;
             while (ls >> v)
                 stats.pressureProfile.push_back(v);
+            // The loop always ends in a failed read; only one at the
+            // end of the line is the list's normal end.
+            if (!ls.eof())
+                return false;
+            ls.clear();
         } else if (tag == "caches") {
             ls >> stats.flcAccesses >> stats.flcMisses >>
                 stats.slcAccesses >> stats.slcMisses >> stats.amHits >>
@@ -693,11 +700,19 @@ Runner::load(const std::string &path, RunStats &stats) const
                                  ? &stats.remoteWriteLatency
                              : which == "dlbfill" ? &stats.dlbFillLatency
                                                   : nullptr;
-            if (d)
-                ls >> d->count >> d->sum >> d->min >> d->max;
+            if (!d)
+                continue;
+            ls >> d->count >> d->sum >> d->min >> d->max;
         } else if (tag == "end") {
             return true;
+        } else {
+            continue;
         }
+        // Every field of a known tag must parse, with nothing left
+        // over: a torn or hand-edited number ("12x") would otherwise
+        // load as a zeroed field and be served as a sheet.
+        if (ls.fail() || !(ls >> std::ws).eof())
+            return false;
     }
     return false;  // truncated file
 }

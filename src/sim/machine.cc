@@ -569,12 +569,12 @@ Machine::collect(Workload &workload, std::vector<CpuStats> cpus,
             point.entries = entries;
             point.assoc = assoc;
             for (const auto &nodePtr : nodes_) {
-                const Tlb *tlb = nodePtr->shadow.find(entries, assoc);
-                VCOMA_ASSERT(tlb != nullptr);
-                point.demandAccesses += tlb->demandAccesses.value();
-                point.demandMisses += tlb->demandMisses.value();
-                point.writebackAccesses += tlb->writebackAccesses.value();
-                point.writebackMisses += tlb->writebackMisses.value();
+                const auto member = nodePtr->shadow.find(entries, assoc);
+                VCOMA_ASSERT(member);
+                point.demandAccesses += member->demandAccesses;
+                point.demandMisses += member->demandMisses;
+                point.writebackAccesses += member->writebackAccesses;
+                point.writebackMisses += member->writebackMisses;
             }
             stats.shadow.push_back(point);
         }

@@ -14,10 +14,14 @@
 #ifndef VCOMA_TLB_SHADOW_BANK_HH
 #define VCOMA_TLB_SHADOW_BANK_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "tlb/tlb.hh"
+#include "common/rng.hh"
+#include "common/types.hh"
+#include "tlb/flat_index.hh"
 
 namespace vcoma
 {
@@ -26,42 +30,8 @@ namespace vcoma
 const std::vector<unsigned> &shadowSizes();
 
 /**
- * One node's (or one home's) collection of shadow TLBs: every size in
- * shadowSizes(), each in fully associative and direct-mapped flavours.
- */
-class ShadowBank
-{
-  public:
-    /**
-     * @param seed base seed (each member derives its own stream)
-     * @param sizes entry counts to instantiate; defaults to
-     *              shadowSizes()
-     */
-    explicit ShadowBank(std::uint64_t seed,
-                        const std::vector<unsigned> &sizes = shadowSizes(),
-                        unsigned indexShift = 0);
-
-    /** Feed one reference to every member TLB. */
-    void access(PageNum vpn, StreamClass cls = StreamClass::Demand);
-
-    /** Find the member with @p entries and associativity @p assoc. */
-    const Tlb *find(unsigned entries, unsigned assoc) const;
-
-    const std::vector<Tlb> &members() const { return members_; }
-
-  private:
-    /**
-     * Flat member storage: every access() touches every member, so
-     * keeping the Tlbs contiguous (rather than behind one pointer
-     * indirection each) matters on the per-reference shadow path.
-     */
-    std::vector<Tlb> members_;
-};
-
-/**
- * Aggregated view over the per-node banks of one translation point:
- * total misses/accesses for a given (size, organisation) across all
- * nodes.
+ * Counters of one shadow member (or, summed, of one (size,
+ * organisation) point across banks).
  */
 struct ShadowTotals
 {
@@ -81,6 +51,75 @@ struct ShadowTotals
     {
         return demandAccesses + writebackAccesses;
     }
+};
+
+/**
+ * One node's (or one home's) collection of shadow TLBs: every size in
+ * shadowSizes(), each in fully associative and direct-mapped flavours.
+ *
+ * Every member sees every access, so the bank keeps one flat index
+ * from vpn to the bitmask of fully associative members holding it:
+ * one probe decides hit or miss for all of them. Each FA member keeps
+ * its own slot array and random-replacement stream and behaves
+ * exactly as a standalone Tlb(entries, 0, seed + 31 * n) would; each
+ * DM member is a flat tag array, as a Tlb(entries, 1, ...) would be.
+ */
+class ShadowBank
+{
+  public:
+    /**
+     * @param seed base seed (each member derives its own stream)
+     * @param sizes entry counts to instantiate; defaults to
+     *              shadowSizes()
+     * @param indexShift low vpn bits the direct-mapped members skip
+     *        when selecting the set (see Tlb)
+     */
+    explicit ShadowBank(std::uint64_t seed,
+                        const std::vector<unsigned> &sizes = shadowSizes(),
+                        unsigned indexShift = 0);
+
+    /** Feed one reference to every member TLB. */
+    void access(PageNum vpn, StreamClass cls = StreamClass::Demand);
+
+    /**
+     * Counters of the member with @p entries and associativity
+     * @p assoc (0 = FA, 1 = DM); nullopt when there is none.
+     */
+    std::optional<ShadowTotals> find(unsigned entries,
+                                     unsigned assoc) const;
+
+  private:
+    using Mask = std::uint32_t;
+
+    struct FaMember
+    {
+        unsigned entries;
+        unsigned filled = 0;  ///< slots [0, filled) hold a vpn
+        std::size_t base;     ///< first slot in faSlots_
+        Rng rng;
+        std::uint64_t misses[2] = {};  ///< by StreamClass
+    };
+
+    struct DmMember
+    {
+        PageNum setMask;
+        std::size_t base;  ///< first tag in dmTags_
+        std::uint64_t misses[2] = {};
+    };
+
+    void evict(PageNum vpn, Mask bit);
+
+    std::vector<unsigned> sizes_;
+    unsigned indexShift_;
+    std::vector<PageNum> faSlots_;
+    std::vector<PageNum> dmTags_;
+    std::vector<FaMember> fa_;
+    std::vector<DmMember> dm_;
+    /** vpn -> bit k set iff fa_[k] holds it. */
+    FlatIndex<Mask> index_;
+    Mask allFa_ = 0;
+    /** Every member sees every access: one count per bank. */
+    std::uint64_t accesses_[2] = {};
 };
 
 /** Sum the counters of every bank's member matching (entries, assoc). */

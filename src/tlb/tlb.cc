@@ -11,7 +11,7 @@ namespace vcoma
 Tlb::Tlb(unsigned entries, unsigned assoc, std::uint64_t seed,
          unsigned indexShift)
     : entries_(entries), assoc_(assoc), indexShift_(indexShift),
-      rng_(seed)
+      rng_(seed), faIndex_(assoc == 0 ? entries : 0)
 {
     if (entries_ == 0) {
         // A 0-entry TLB models software-managed translation: every
@@ -21,7 +21,6 @@ Tlb::Tlb(unsigned entries, unsigned assoc, std::uint64_t seed,
     }
     if (assoc_ == 0) {
         faSlots_.assign(entries_, noVpn);
-        faMap_.reserve(entries_ * 2);
         faFree_.reserve(entries_);
         for (unsigned i = 0; i < entries_; ++i)
             faFree_.push_back(entries_ - 1 - i);
@@ -54,8 +53,7 @@ Tlb::lookupAndFill(PageNum vpn, PageNum *evictedOut)
     if (entries_ == 0)
         return false;
     if (assoc_ == 0) {
-        auto it = faMap_.find(vpn);
-        if (it != faMap_.end())
+        if (faIndex_.find(vpn))
             return true;
         // Fill: an empty slot if one exists, else random replacement
         // (paper Section 5.1).
@@ -67,10 +65,10 @@ Tlb::lookupAndFill(PageNum vpn, PageNum *evictedOut)
             slot = static_cast<unsigned>(rng_.below(entries_));
             if (evictedOut)
                 *evictedOut = faSlots_[slot];
-            faMap_.erase(faSlots_[slot]);
+            faIndex_.erase(faIndex_.find(faSlots_[slot]));
         }
         faSlots_[slot] = vpn;
-        faMap_[vpn] = slot;
+        faIndex_.insert(vpn, slot);
         return false;
     }
 
@@ -117,7 +115,7 @@ Tlb::contains(PageNum vpn) const
     if (entries_ == 0)
         return false;
     if (assoc_ == 0)
-        return faMap_.count(vpn) != 0;
+        return faIndex_.find(vpn) != nullptr;
     const unsigned set = static_cast<unsigned>(
         (vpn >> indexShift_) & (numSets_ - 1));
     const PageNum *base = &saTags_[static_cast<std::size_t>(set) * assoc_];
@@ -134,12 +132,12 @@ Tlb::invalidate(PageNum vpn)
     if (entries_ == 0)
         return false;
     if (assoc_ == 0) {
-        auto it = faMap_.find(vpn);
-        if (it == faMap_.end())
+        auto *e = faIndex_.find(vpn);
+        if (!e)
             return false;
-        faFree_.push_back(it->second);
-        faSlots_[it->second] = noVpn;
-        faMap_.erase(it);
+        faFree_.push_back(e->value);
+        faSlots_[e->value] = noVpn;
+        faIndex_.erase(e);
         return true;
     }
     const unsigned set = static_cast<unsigned>(
@@ -187,7 +185,7 @@ Tlb::flush()
     if (entries_ == 0)
         return;
     if (assoc_ == 0) {
-        faMap_.clear();
+        faIndex_.clear();
         std::fill(faSlots_.begin(), faSlots_.end(), noVpn);
         faFree_.clear();
         for (unsigned i = 0; i < entries_; ++i)

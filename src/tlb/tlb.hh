@@ -21,12 +21,12 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "tlb/flat_index.hh"
 
 namespace vcoma
 {
@@ -120,9 +120,9 @@ class Tlb
     unsigned indexShift_;
     Rng rng_;
 
-    // Fully associative implementation: O(1) hash lookup plus a slot
-    // vector for random victim selection.
-    std::unordered_map<PageNum, unsigned> faMap_;
+    // Fully associative implementation: a flat vpn -> slot index plus
+    // a slot vector for random victim selection.
+    FlatIndex<unsigned> faIndex_;
     std::vector<PageNum> faSlots_;
     std::vector<unsigned> faFree_;
 

@@ -17,6 +17,7 @@
 #include "sim/machine.hh"
 #include "sim/run_stats_json.hh"
 #include "sim/trace.hh"
+#include "translation/scheme.hh"
 #include "translation/system_builder.hh"
 #include "workloads/workload.hh"
 
@@ -104,10 +105,11 @@ TEST_P(FastPathEquivalence, IdenticalStatsOnAndOff)
     const RunResult fast = runOnce(scheme, workload, /*fastPath=*/true);
     const RunResult slow = runOnce(scheme, workload, /*fastPath=*/false);
 
-    // The knob must actually gate the path (L0 is structurally
-    // excluded: its per-reference TLB charge leaves no pure hit).
+    // The knob must actually gate the path (schemes translating
+    // before the FLC, L0 and VICTIMA, are structurally excluded:
+    // their per-reference TLB charge leaves no pure hit).
     EXPECT_FALSE(slow.fastPathActive);
-    EXPECT_EQ(fast.fastPathActive, scheme != Scheme::L0);
+    EXPECT_EQ(fast.fastPathActive, schemeTraits(scheme).fastReadFilter);
 
     expectSameStats(fast.stats, slow.stats);
     // The JSON line carries every RunStats field (shadow sweep,
@@ -121,9 +123,7 @@ TEST_P(FastPathEquivalence, IdenticalStatsOnAndOff)
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchemesAllWorkloads, FastPathEquivalence,
-    ::testing::Combine(::testing::Values(Scheme::L0, Scheme::L1,
-                                         Scheme::L2, Scheme::L3,
-                                         Scheme::VCOMA),
+    ::testing::Combine(::testing::ValuesIn(allRegisteredSchemes()),
                        ::testing::Values("RADIX", "FFT", "FMM", "OCEAN",
                                          "RAYTRACE", "BARNES", "UNIFORM",
                                          "STRIDE", "HOTSPOT")),

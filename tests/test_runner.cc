@@ -11,7 +11,9 @@
 #include <limits>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/experiments.hh"
@@ -253,6 +255,53 @@ TEST(Runner, TruncatedCacheFileIsRejected)
     Runner second(dir.path.string());
     second.run(tinyExperiment());
     EXPECT_EQ(second.executed(), 1u) << "truncated file must re-run";
+}
+
+TEST(Runner, MalformedNumberInCacheFileIsRejected)
+{
+    // A numeric field that does not parse must reject the entry, not
+    // load as zero: append junk to one field of the first line with
+    // the given tag — mid-line on a shadow line ("shadow 8 0 12x ..."),
+    // the last field on a cpu line.
+    const std::vector<std::pair<std::string, std::size_t>> cases{
+        {"shadow", 3},
+        {"cpu", 9},
+    };
+    for (const auto &[tag, field] : cases) {
+        TempDir dir;
+        Runner first(dir.path.string());
+        first.run(tinyExperiment());
+        for (const auto &entry :
+             std::filesystem::directory_iterator(dir.path)) {
+            std::ifstream in(entry.path());
+            std::ostringstream kept;
+            std::string line;
+            bool mangled = false;
+            while (std::getline(in, line)) {
+                std::istringstream ls(line);
+                std::vector<std::string> tokens;
+                for (std::string t; ls >> t;)
+                    tokens.push_back(t);
+                if (!mangled && tokens.size() > field &&
+                    tokens[0] == tag) {
+                    tokens[field] += "x";
+                    line.clear();
+                    for (const auto &t : tokens)
+                        line += (line.empty() ? "" : " ") + t;
+                    mangled = true;
+                }
+                kept << line << "\n";
+            }
+            in.close();
+            ASSERT_TRUE(mangled) << "no " << tag << " line";
+            std::ofstream out(entry.path());
+            out << kept.str();
+        }
+        Runner second(dir.path.string());
+        second.run(tinyExperiment());
+        EXPECT_EQ(second.executed(), 1u)
+            << "malformed " << tag << " line must re-run";
+    }
 }
 
 TEST(Runner, StoreLeavesNoTempFiles)

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "tlb/flat_index.hh"
 #include "tlb/shadow_bank.hh"
 #include "tlb/tlb.hh"
 
@@ -113,6 +119,90 @@ TEST(Tlb, OrganisationNames)
     EXPECT_EQ(Tlb(8, 2, 1).organisation(), "2way");
 }
 
+/**
+ * A fully associative Tlb against a std::set presence model, on keys
+ * that collide in its flat index: every key's home is one of the last
+ * two or first two slots, so probe runs wrap around the table and
+ * invalidation's backward shift moves entries across the wrap.
+ */
+TEST(Tlb, FullyAssociativeCollidingKeysMatchSetModel)
+{
+    const unsigned entries = 8;
+    // An index built for the same entry count has the Tlb's geometry.
+    const FlatIndex<unsigned> geometry(entries);
+    const std::size_t cap = geometry.capacity();
+    std::vector<PageNum> pool;
+    for (PageNum k = 0; pool.size() < 24; ++k) {
+        const std::size_t h = geometry.homeOf(k);
+        if (h + 2 >= cap || h < 2)
+            pool.push_back(k);
+    }
+
+    Tlb tlb(entries, 0, 9);
+    std::set<PageNum> model;
+    auto expectSame = [&](const std::string &when) {
+        for (PageNum k : pool)
+            ASSERT_EQ(tlb.contains(k), model.count(k) != 0)
+                << when << ": vpn " << k;
+        std::set<PageNum> held;
+        tlb.forEachEntry([&](PageNum vpn) { held.insert(vpn); });
+        ASSERT_EQ(held, model) << when;
+    };
+    auto access = [&](PageNum vpn) {
+        PageNum evicted = Tlb::noVpn;
+        const bool hit = tlb.access(vpn, StreamClass::Demand, &evicted);
+        EXPECT_EQ(hit, model.count(vpn) != 0);
+        if (evicted != Tlb::noVpn)
+            model.erase(evicted);
+        model.insert(vpn);
+    };
+    auto invalidate = [&](PageNum vpn) {
+        EXPECT_EQ(tlb.invalidate(vpn), model.erase(vpn) != 0);
+    };
+
+    for (std::size_t i = 0; i < entries; ++i)
+        access(pool[i]);
+    ASSERT_NO_FATAL_FAILURE(expectSame("filled"));
+    // Drop two entries of the crowded region (the second one twice:
+    // the repeat must report a miss), then refill.
+    invalidate(pool[0]);
+    ASSERT_NO_FATAL_FAILURE(expectSame("first invalidated"));
+    invalidate(pool[3]);
+    invalidate(pool[3]);
+    ASSERT_NO_FATAL_FAILURE(expectSame("second invalidated"));
+    access(pool[8]);
+    access(pool[9]);
+    access(pool[0]);
+    ASSERT_NO_FATAL_FAILURE(expectSame("refilled"));
+
+    Rng rng(77);
+    for (int i = 0; i < 20000; ++i) {
+        const PageNum vpn = pool[rng.below(pool.size())];
+        if (rng.below(3) == 0)
+            invalidate(vpn);
+        else
+            access(vpn);
+        ASSERT_NO_FATAL_FAILURE(expectSame("step " + std::to_string(i)));
+    }
+
+    tlb.flush();
+    model.clear();
+    ASSERT_NO_FATAL_FAILURE(expectSame("flushed"));
+    for (std::size_t i = 0; i < pool.size(); ++i)
+        access(pool[i]);
+    ASSERT_NO_FATAL_FAILURE(expectSame("refilled after flush"));
+}
+
+/** An index built for no keys still has a real, empty table. */
+TEST(FlatIndex, EmptyIndexHasMinimumTable)
+{
+    const FlatIndex<unsigned> index(0);
+    EXPECT_EQ(index.capacity(), 8u);
+    EXPECT_EQ(index.find(0), nullptr);
+    EXPECT_EQ(index.find(12345), nullptr);
+    EXPECT_LT(index.homeOf(12345), index.capacity());
+}
+
 // ---------------------------------------------------------------------
 // Property tests.
 // ---------------------------------------------------------------------
@@ -188,10 +278,11 @@ TEST(ShadowBank, HasEverySizeInBothOrganisations)
 {
     ShadowBank bank(1);
     for (unsigned size : shadowSizes()) {
-        EXPECT_NE(bank.find(size, 0), nullptr);
-        EXPECT_NE(bank.find(size, 1), nullptr);
+        EXPECT_TRUE(bank.find(size, 0).has_value());
+        EXPECT_TRUE(bank.find(size, 1).has_value());
     }
-    EXPECT_EQ(bank.find(9999, 0), nullptr);
+    EXPECT_FALSE(bank.find(9999, 0).has_value());
+    EXPECT_FALSE(bank.find(8, 2).has_value());
 }
 
 TEST(ShadowBank, FeedsAllMembers)
@@ -199,9 +290,13 @@ TEST(ShadowBank, FeedsAllMembers)
     ShadowBank bank(1);
     bank.access(42);
     bank.access(42);
-    for (const auto &tlb : bank.members()) {
-        EXPECT_EQ(tlb.demandAccesses.value(), 2u);
-        EXPECT_EQ(tlb.demandMisses.value(), 1u);
+    for (unsigned size : shadowSizes()) {
+        for (unsigned assoc : {0u, 1u}) {
+            const auto member = bank.find(size, assoc);
+            ASSERT_TRUE(member.has_value());
+            EXPECT_EQ(member->demandAccesses, 2u);
+            EXPECT_EQ(member->demandMisses, 1u);
+        }
     }
 }
 
@@ -228,9 +323,87 @@ TEST(ShadowBank, SizeMonotonicityOnLoopingStream)
         bank.access((i * 13) % 300);
     std::uint64_t prev = ~std::uint64_t{0};
     for (unsigned size : shadowSizes()) {
-        const Tlb *tlb = bank.find(size, 0);
-        EXPECT_LE(tlb->misses(), prev) << "size " << size;
-        prev = tlb->misses();
+        const auto member = bank.find(size, 0);
+        EXPECT_LE(member->misses(), prev) << "size " << size;
+        prev = member->misses();
+    }
+}
+
+namespace
+{
+
+/**
+ * A stream of @p n references over @p pages distinct vpns: mostly a
+ * hot set of @p hot pages, the rest uniform over all of them, one in
+ * four tagged as write-back traffic.
+ */
+std::vector<std::pair<PageNum, StreamClass>>
+mixedStream(std::size_t n, PageNum hot, PageNum pages, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::pair<PageNum, StreamClass>> refs;
+    refs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const PageNum vpn =
+            rng.below(10) < 7 ? rng.below(hot) : rng.below(pages);
+        const StreamClass cls = rng.below(4) == 0 ? StreamClass::Writeback
+                                                  : StreamClass::Demand;
+        refs.emplace_back(vpn, cls);
+    }
+    return refs;
+}
+
+} // namespace
+
+/**
+ * Reference model: a bank must count exactly as 14 standalone Tlbs
+ * seeded seed + 31 * n (n = 1, 2, ... in FA, DM order per size) fed
+ * the same stream. The small stream evicts in the small FA members;
+ * the wide one runs random replacement in every size up to 512.
+ */
+TEST(ShadowBank, MatchesStandaloneTlbsPerMember)
+{
+    const std::uint64_t seed = 0x5eed;
+    const std::vector<std::vector<std::pair<PageNum, StreamClass>>>
+        streams{mixedStream(200000, 24, 96, 11),
+                mixedStream(200000, 700, 1 << 16, 12)};
+    for (unsigned shift : {0u, 5u}) {
+        for (std::size_t si = 0; si < streams.size(); ++si) {
+            ShadowBank bank(seed, shadowSizes(), shift);
+            std::vector<Tlb> ref;
+            std::uint64_t n = 0;
+            for (unsigned size : shadowSizes()) {
+                ref.emplace_back(size, 0, seed + 31 * ++n, shift);
+                ref.emplace_back(size, 1, seed + 31 * ++n, shift);
+            }
+            for (const auto &[vpn, cls] : streams[si]) {
+                bank.access(vpn, cls);
+                for (Tlb &tlb : ref)
+                    tlb.access(vpn, cls);
+            }
+            for (const Tlb &tlb : ref) {
+                const auto member = bank.find(tlb.entries(), tlb.assoc());
+                ASSERT_TRUE(member.has_value());
+                const std::string where =
+                    "shift " + std::to_string(shift) + ", stream " +
+                    std::to_string(si) + ", " +
+                    std::to_string(tlb.entries()) + " " +
+                    tlb.organisation();
+                EXPECT_EQ(member->demandAccesses,
+                          tlb.demandAccesses.value()) << where;
+                EXPECT_EQ(member->demandMisses, tlb.demandMisses.value())
+                    << where;
+                EXPECT_EQ(member->writebackAccesses,
+                          tlb.writebackAccesses.value()) << where;
+                EXPECT_EQ(member->writebackMisses,
+                          tlb.writebackMisses.value()) << where;
+            }
+            // The wide stream must have run replacement in every size.
+            if (si == 1) {
+                const auto big = bank.find(512, 0);
+                EXPECT_GT(big->misses(), 512u + 1000u);
+            }
+        }
     }
 }
 
