@@ -43,8 +43,8 @@ namespace
  * is an FLC hit and nearly every write a silent store (AM Exclusive,
  * SLC hit) — the two cases the fast path accelerates. Threads carry
  * widely different compute phases (work grows with the thread id), so
- * the event heap sees the asymmetric timing of real programs instead
- * of artificial lockstep — the regime the batching layer targets.
+ * event dispatch sees the asymmetric timing of real programs instead
+ * of artificial lockstep.
  */
 class FlcResweepWorkload : public Workload
 {

@@ -149,7 +149,7 @@ class CoherenceEngine
     /**
      * Is the core-speedup machinery configured on at all (config/env,
      * before the structural scheme and check-level gates)? Controls
-     * the result-identical memoisation and batching layers that apply
+     * the result-identical memoisation and dispatch layers that apply
      * even where the hit filter itself cannot (e.g. L0).
      */
     bool fastPathConfigured() const { return fastConfigured_; }
@@ -405,7 +405,7 @@ class CoherenceEngine
      * Filter/memo entries from an older epoch are dead.
      */
     std::uint64_t xlatEpoch_ = 0;
-    /** Core speedups (memoisation, batching) configured on at all. */
+    /** Core speedups (memoisation, tree dispatch) configured on at all. */
     bool fastConfigured_ = false;
     /** Fast filter active for reads (config+env, scheme, checkLevel). */
     bool fastReads_ = false;
@@ -453,7 +453,7 @@ class CoherenceEngine
      * loop invariants of the drain (filter stripe, node, FLC probe
      * geometry) resolved once per Machine::run instead of once per
      * drain episode — episodes are short (a handful of references
-     * between event-heap turns), so per-episode hoisting would eat
+     * between dispatch turns), so per-episode hoisting would eat
      * the drained savings. Everything cached here is stable for the
      * engine's lifetime; the only mutable cached state, the FLC LRU
      * clock, is resynced at each episode boundary.
@@ -496,7 +496,7 @@ class CoherenceEngine
      * reference the filter cannot resolve (the caller retries that
      * reference through the ordinary path), and stops *after*
      * consuming a reference once @p readyAt exceeds @p tickLimit —
-     * the caller's dispatch bound (event-heap order and the next
+     * the caller's dispatch bound (the runner-up CPU and the next
      * reference-bit decay point), which makes the run provably
      * order-identical to per-reference execution.
      *

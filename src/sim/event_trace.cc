@@ -63,7 +63,7 @@ EventTracer::flush(unsigned numNodes)
     flushed_ = true;
 
     // Viewers want per-track monotonic timestamps; the simulation
-    // kernel emits events in heap order, so sort before writing.
+    // kernel emits events in dispatch order, so sort before writing.
     // stable_sort keeps same-tick events in emission (causal) order.
     std::stable_sort(events_.begin(), events_.end(),
                      [](const Event &a, const Event &b) {

@@ -9,7 +9,7 @@
  * case every Machine buffers its events in memory and writes the file
  * when the run finishes. Events are buffered rather than streamed so
  * the writer can sort them by timestamp: the execution kernel visits
- * processors in heap order, not time order, and trace viewers expect
+ * processors in dispatch order, not time order, and trace viewers expect
  * per-track monotonic timestamps.
  *
  * When several simulations run concurrently (Runner::runAll) they

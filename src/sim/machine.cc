@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
-#include <queue>
+#include <type_traits>
 
 #include "common/stats.hh"
 
@@ -10,6 +10,7 @@
 #include "check/snapshot.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "sim/dispatch_queue.hh"
 #include "sim/event_trace.hh"
 #include "sim/run_stats_json.hh"
 #include "sim/sync.hh"
@@ -210,32 +211,17 @@ Machine::run(Workload &workload)
         return snap;
     };
 
-    // Min-heap ordered by (readyAt, cpu) for determinism.
-    using Entry = std::pair<Tick, CpuId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ready;
-    for (unsigned i = 0; i < numCpus; ++i)
-        ready.emplace(0, i);
-
     unsigned live = numCpus;
-
-    // Batching layer of the core speedups: drain consecutive events
-    // of one CPU without heap churn. Provably order-identical, but
-    // gated with the rest of the fast-path machinery so
-    // $VCOMA_FASTPATH=0 measures the pristine event loop.
-    const bool batchEvents = engine_.fastPathConfigured();
 
     // Replay turbo (materialised streams only): per-CPU drain
     // contexts with the fast filter's loop invariants pre-resolved.
     // Disabled under the invariant checker, which must be credited
     // per reference.
-    const bool drainable = materialised && batchEvents &&
-                           !checker_ && engine_.fastPathEnabled();
+    const bool drainable = materialised && !checker_ &&
+                           engine_.fastPathEnabled();
     std::vector<CoherenceEngine::FastDrainCtx> drainCtxs =
         drainable ? engine_.makeFastDrainCtxs()
                   : std::vector<CoherenceEngine::FastDrainCtx>{};
-    // CPUs checked out of the ready heap by the replay drain below.
-    std::vector<CpuId> drainSet;
-    drainSet.reserve(numCpus);
 
     // Loop-invariant loads the optimiser cannot hoist itself because
     // engine_.access may alias the members through `this`.
@@ -249,22 +235,20 @@ Machine::run(Workload &workload)
     const Cycles decayPeriod = cfg_.refBitDecayPeriod;
     Tick nextDecay = decayPeriod ? decayPeriod : ~Tick{0};
 
-    while (!ready.empty()) {
-        auto [when, cpu] = ready.top();
-        ready.pop();
-        Proc &proc = procs[cpu];
+    // The event loop, run with either dispatch queue (see
+    // sim/dispatch_queue.hh): every iteration dispatches the CPU with
+    // the smallest (readyAt, cpu), then schedules or parks it.
+    auto dispatch = [&](auto &ready) {
+        constexpr bool isTree =
+            std::is_same_v<std::decay_t<decltype(ready)>, DispatchTree>;
+        for (unsigned i = 0; i < numCpus; ++i)
+            ready.schedule(i, 0);
 
-        // Drain consecutive events of this CPU without re-entering
-        // the heap while it provably stays the globally next one
-        // ((readyAt, cpu) below the heap top in the heap's own
-        // lexicographic order). Memory references keep draining; sync
-        // events and completion leave the inner loop.
-        bool draining = true;
-        while (draining) {
-            draining = false;
+        while (!ready.empty()) {
+            const auto [when, cpu] = ready.next();
+            Proc &proc = procs[cpu];
 
-            if (watchdogCycles != 0 &&
-                when > lastRetire + watchdogCycles) {
+            if (watchdogCycles != 0 && when > lastRetire + watchdogCycles) {
                 throw WatchdogError(
                     detail::concat("watchdog: no memory reference "
                                    "retired in the last ",
@@ -286,88 +270,35 @@ Machine::run(Workload &workload)
             VCOMA_ASSERT(!proc.done);
             VCOMA_ASSERT(when == proc.readyAt);
 
-            if (drainable && proc.cur != proc.end) {
-                // Replay turbo: CPUs are checked out of the event
-                // heap as they become the globally next event and
-                // drained in rotation, each run handed to the engine
-                // in one call with its loop invariants hoisted. The
-                // per-run bound keeps every drained dispatch below
-                // the runner-up event (checked-out or heap top) and
-                // below the next reference-bit decay point, so the
-                // dispatch order is exactly the heap's (readyAt, cpu)
-                // order; heap churn and loop-top bookkeeping are paid
-                // per blocking event, not per run.
-                drainSet.clear();
-                drainSet.push_back(cpu);
-                bool fellThrough = false;
-                for (;;) {
-                    // The next checked-out dispatch, in the heap's
-                    // lexicographic order.
-                    std::size_t m = 0;
-                    for (std::size_t i = 1; i < drainSet.size(); ++i) {
-                        if (std::make_pair(procs[drainSet[i]].readyAt,
-                                           drainSet[i]) <
-                            std::make_pair(procs[drainSet[m]].readyAt,
-                                           drainSet[m])) {
-                            m = i;
-                        }
+            if constexpr (isTree) {
+                if (drainable && proc.cur != proc.end) {
+                    // Replay turbo: hand the engine a whole run of
+                    // this CPU's references in one call, with its loop
+                    // invariants hoisted. The run stops once the CPU
+                    // would no longer be the globally next event: past
+                    // the runner-up in (readyAt, cpu) order, or at the
+                    // next reference-bit decay point. So the dispatch
+                    // order is exactly per-reference order.
+                    Tick limit = nextDecay - 1;
+                    if (const auto up = ready.runnerUp()) {
+                        const auto [td, d] = *up;
+                        limit = std::min(limit, cpu < d ? td : td - 1);
                     }
-                    const CpuId c = drainSet[m];
-                    Proc &pc = procs[c];
-                    // The globally next event might still be in the
-                    // heap: a drainable one joins the rotation,
-                    // anything else ends the session.
-                    if (!ready.empty() &&
-                        ready.top() < std::make_pair(pc.readyAt, c)) {
-                        const auto [topWhen, topCpu] = ready.top();
-                        if (topWhen >= nextDecay ||
-                            procs[topCpu].cur == procs[topCpu].end) {
-                            break;
-                        }
-                        ready.pop();
-                        drainSet.push_back(topCpu);
+                    const std::uint64_t n = engine_.fastDrainMaterialised(
+                        drainCtxs[cpu], cpu, proc.cur, proc.end,
+                        proc.readyAt, limit, busyScale, proc.stats.reads,
+                        proc.stats.writes, proc.stats.busy,
+                        proc.stats.locStall);
+                    if (n != 0) {
+                        proc.stats.refs += n;
+                        proc.lastRef = proc.cur - 1;
+                        lastRetire = std::max(lastRetire, proc.readyAt);
+                        ready.schedule(cpu, proc.readyAt);
                         continue;
                     }
-                    if (pc.readyAt >= nextDecay)
-                        break;
-                    Tick limit = nextDecay - 1;
-                    for (std::size_t i = 0; i < drainSet.size(); ++i) {
-                        if (i == m)
-                            continue;
-                        const CpuId d = drainSet[i];
-                        const Tick td = procs[d].readyAt;
-                        limit = std::min(limit, c < d ? td : td - 1);
-                    }
-                    if (!ready.empty()) {
-                        const auto [topWhen, topCpu] = ready.top();
-                        limit = std::min(limit, c < topCpu ? topWhen
-                                                           : topWhen - 1);
-                    }
-                    const std::uint64_t n =
-                        engine_.fastDrainMaterialised(
-                            drainCtxs[c], c, pc.cur, pc.end,
-                            pc.readyAt, limit, busyScale,
-                            pc.stats.reads, pc.stats.writes,
-                            pc.stats.busy, pc.stats.locStall);
-                    if (n == 0) {
-                        // c's event cannot be fast-resolved. The
-                        // dispatched CPU's own blocker falls through
-                        // to the ordinary path right away; any other
-                        // CPU's goes back through the heap (it pops
-                        // first: it is the global minimum).
-                        fellThrough = c == cpu;
-                        break;
-                    }
-                    pc.stats.refs += n;
-                    pc.lastRef = pc.cur - 1;
-                    lastRetire = std::max(lastRetire, pc.readyAt);
+                    // The next reference cannot be fast-resolved: it
+                    // falls through to the ordinary path.
                 }
-                for (const CpuId d : drainSet) {
-                    if (!(fellThrough && d == cpu))
-                        ready.emplace(procs[d].readyAt, d);
-                }
-                if (!fellThrough)
-                    break;
             }
 
             const MemRef *next;
@@ -390,7 +321,8 @@ Machine::run(Workload &workload)
                 proc.done = true;
                 proc.stats.finish = proc.readyAt;
                 --live;
-                break;
+                ready.park(cpu);
+                continue;
             }
 
             const MemRef &ref = *next;
@@ -402,10 +334,8 @@ Machine::run(Workload &workload)
             switch (ref.kind) {
               case MemRef::Kind::Mem: {
                 AccessResult res;
-                if (!engine_.fastAccess(cpu, ref.type, ref.vaddr, t,
-                                        res)) {
+                if (!engine_.fastAccess(cpu, ref.type, ref.vaddr, t, res))
                     res = engine_.access(cpu, ref.type, ref.vaddr, t);
-                }
                 proc.stats.locStall += res.local;
                 proc.stats.remStall += res.remote;
                 proc.stats.xlatStall += res.xlat;
@@ -418,25 +348,20 @@ Machine::run(Workload &workload)
                 lastRetire = std::max(lastRetire, res.done);
                 if (checker)
                     creditInvariantSweep(1);
-                if (batchEvents &&
-                    (ready.empty() ||
-                     std::make_pair(proc.readyAt, cpu) < ready.top())) {
-                    when = proc.readyAt;
-                    draining = true;
-                } else {
-                    ready.emplace(proc.readyAt, cpu);
-                }
+                ready.schedule(cpu, proc.readyAt);
                 break;
               }
               case MemRef::Kind::Barrier: {
                 auto release = sync.arriveBarrier(ref.syncId, cpu, t);
+                // The last arriver is among the released waiters.
+                ready.park(cpu);
                 if (release) {
                     for (const auto &[waiter, arrived] :
                          release->waiters) {
                         Proc &wp = procs[waiter];
                         wp.stats.sync += release->releaseAt - arrived;
                         wp.readyAt = release->releaseAt;
-                        ready.emplace(wp.readyAt, waiter);
+                        ready.schedule(waiter, wp.readyAt);
                     }
                 }
                 break;
@@ -446,24 +371,35 @@ Machine::run(Workload &workload)
                 if (grant) {
                     proc.stats.sync += *grant - t;
                     proc.readyAt = *grant;
-                    ready.emplace(proc.readyAt, cpu);
+                    ready.schedule(cpu, proc.readyAt);
+                } else {
+                    ready.park(cpu);
                 }
                 break;
               }
               case MemRef::Kind::LockRelease: {
                 auto grant = sync.releaseLock(ref.syncId, cpu, t);
                 proc.readyAt = t;
-                ready.emplace(proc.readyAt, cpu);
+                ready.schedule(cpu, proc.readyAt);
                 if (grant) {
                     Proc &wp = procs[grant->cpu];
                     wp.stats.sync += grant->grantedAt - grant->arrivedAt;
                     wp.readyAt = grant->grantedAt;
-                    ready.emplace(wp.readyAt, grant->cpu);
+                    ready.schedule(grant->cpu, wp.readyAt);
                 }
                 break;
               }
             }
         }
+    };
+    // $VCOMA_FASTPATH=0 keeps the heap: the pristine reference order
+    // the winner tree is tested and benchmarked against.
+    if (engine_.fastPathConfigured()) {
+        DispatchTree ready(numCpus);
+        dispatch(ready);
+    } else {
+        DispatchHeap ready(numCpus);
+        dispatch(ready);
     }
 
     if (sync.parked() != 0 || live != 0) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "common/config.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/types.hh"
@@ -406,6 +408,49 @@ TEST(EnvScaledFlag, SurroundingWhitespaceIsTolerated)
         EnvGuard env("VCOMA_TEST_FLAG", "\t7\n");
         EXPECT_EQ(envScaledFlag("VCOMA_TEST_FLAG", 4096), 7u);
     }
+}
+
+// Strict numeric parsing of command-line values (vcoma_sim and
+// vcoma_client flags).
+
+TEST(ParseNumber, AcceptsWholeInRangeNumbers)
+{
+    EXPECT_EQ(parseNumber<unsigned>("0"), 0u);
+    EXPECT_EQ(parseNumber<unsigned>("8"), 8u);
+    EXPECT_EQ(parseNumber<unsigned>("4294967295"), 4294967295u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(parseNumber<double>("0.1"), 0.1);
+    EXPECT_EQ(parseNumber<double>("2"), 2.0);
+    EXPECT_EQ(parseNumber<double>("1e-3"), 1e-3);
+}
+
+TEST(ParseNumber, RejectsTrailingCharacters)
+{
+    for (const char *v : {"8x", "4abc", "8 ", "0x10", "1.5"})
+        EXPECT_FALSE(parseNumber<unsigned>(v)) << v;
+    for (const char *v : {"0.01x", "1e", "0.1 ", "1,5"})
+        EXPECT_FALSE(parseNumber<double>(v)) << v;
+}
+
+TEST(ParseNumber, RejectsSignsBlanksAndEmptyText)
+{
+    for (const char *v : {"-1", "-0", "+8", " 8", ""}) {
+        EXPECT_FALSE(parseNumber<unsigned>(v)) << v;
+        EXPECT_FALSE(parseNumber<std::uint64_t>(v)) << v;
+        EXPECT_FALSE(parseNumber<double>(v)) << v;
+    }
+}
+
+TEST(ParseNumber, RejectsValuesOutOfRangeForTheTarget)
+{
+    // 2^32 + 8 used to truncate to 8 through static_cast<unsigned>.
+    EXPECT_FALSE(parseNumber<unsigned>("4294967304"));
+    EXPECT_EQ(parseNumber<std::uint64_t>("4294967304"), 4294967304u);
+    EXPECT_FALSE(parseNumber<std::uint64_t>("18446744073709551616"));
+    EXPECT_FALSE(parseNumber<std::uint8_t>("256"));
+    for (const char *v : {"1e999", "inf", "nan"})
+        EXPECT_FALSE(parseNumber<double>(v)) << v;
 }
 
 // Saturating Tick math (the overflow guard of Resource::acquire).

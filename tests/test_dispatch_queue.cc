@@ -1,0 +1,139 @@
+/**
+ * @file
+ * The dispatch queues of Machine::run. The winner tree is pinned to a
+ * std::set model of (readyAt, cpu) under random re-key, park and
+ * unpark sequences, and to the reference heap under the event loop's
+ * own protocol.
+ */
+
+#include <gtest/gtest.h>
+
+#include <iterator>
+#include <set>
+#include <vector>
+
+#include "common/rng.hh"
+#include "sim/dispatch_queue.hh"
+
+using namespace vcoma;
+
+namespace
+{
+
+/** A key drawn to make ties and saturated ticks common. */
+Tick
+drawKey(Rng &rng)
+{
+    switch (rng.below(4)) {
+      case 0:
+        return rng.below(4);  // tie-heavy: few distinct ticks
+      case 1:
+        return ~Tick{0} - rng.below(2);  // at or just below saturation
+      default:
+        return rng.below(1000);
+    }
+}
+
+} // namespace
+
+class DispatchTreeModel : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(DispatchTreeModel, TopAndRunnerUpMatchAnOrderedSet)
+{
+    const unsigned n = GetParam();
+    DispatchTree tree(n);
+    std::set<DispatchEntry> model;
+    std::vector<Tick> key(n, 0);
+    std::vector<bool> present(n, false);
+    Rng rng(1000 + n);
+
+    for (int step = 0; step < 20000; ++step) {
+        const CpuId cpu = static_cast<CpuId>(rng.below(n));
+        if (present[cpu])
+            model.erase({key[cpu], cpu});
+        if (present[cpu] && rng.below(4) == 0) {
+            // park
+            present[cpu] = false;
+            tree.park(cpu);
+        } else {
+            // re-key a present CPU, or unpark an absent one
+            key[cpu] = drawKey(rng);
+            present[cpu] = true;
+            model.insert({key[cpu], cpu});
+            tree.schedule(cpu, key[cpu]);
+        }
+
+        ASSERT_EQ(tree.empty(), model.empty()) << "step " << step;
+        if (model.empty()) {
+            EXPECT_FALSE(tree.runnerUp()) << "step " << step;
+            continue;
+        }
+        ASSERT_EQ(tree.next(), *model.begin()) << "step " << step;
+        const auto up = tree.runnerUp();
+        if (model.size() == 1) {
+            EXPECT_FALSE(up) << "step " << step;
+        } else {
+            ASSERT_TRUE(up) << "step " << step;
+            EXPECT_EQ(*up, *std::next(model.begin())) << "step " << step;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, DispatchTreeModel,
+                         ::testing::Values(1u, 2u, 4u, 32u, 64u));
+
+TEST(DispatchTree, SaturatedTickStillDispatchesInCpuOrder)
+{
+    // Resource::acquire saturates at ~Tick{0}: such a CPU is present,
+    // not parked, and ties at the top break to the lower cpu.
+    DispatchTree tree(3);
+    tree.schedule(2, ~Tick{0});
+    tree.schedule(1, ~Tick{0});
+    EXPECT_EQ(tree.next(), DispatchEntry(~Tick{0}, 1));
+    EXPECT_EQ(tree.runnerUp(), DispatchEntry(~Tick{0}, 2));
+    tree.park(1);
+    EXPECT_EQ(tree.next(), DispatchEntry(~Tick{0}, 2));
+    EXPECT_FALSE(tree.runnerUp());
+    tree.park(2);
+    EXPECT_TRUE(tree.empty());
+}
+
+TEST(DispatchQueues, TreeDispatchesInHeapOrder)
+{
+    // Drive both queues through the event loop's protocol (dispatch
+    // the minimum, then re-key or park it, waking parked CPUs now and
+    // then) and require the same event sequence.
+    constexpr unsigned n = 32;
+    DispatchHeap heap(n);
+    DispatchTree tree(n);
+    for (CpuId c = 0; c < n; ++c) {
+        heap.schedule(c, 0);
+        tree.schedule(c, 0);
+    }
+    std::vector<CpuId> parked;
+    Rng rng(7);
+    for (int step = 0; step < 50000 && !heap.empty(); ++step) {
+        ASSERT_FALSE(tree.empty());
+        const DispatchEntry e = heap.next();
+        ASSERT_EQ(tree.next(), e) << "step " << step;
+        const auto [when, cpu] = e;
+        if (rng.below(8) == 0) {
+            heap.park(cpu);
+            tree.park(cpu);
+            parked.push_back(cpu);
+        } else {
+            const Tick t = when + rng.below(3);
+            heap.schedule(cpu, t);
+            tree.schedule(cpu, t);
+        }
+        if (!parked.empty() && rng.below(4) == 0) {
+            const CpuId w = parked.back();
+            parked.pop_back();
+            const Tick t = when + rng.below(5);
+            heap.schedule(w, t);
+            tree.schedule(w, t);
+        }
+    }
+}

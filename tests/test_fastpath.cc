@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,6 +22,7 @@
 #include "sim/trace.hh"
 #include "translation/scheme.hh"
 #include "translation/system_builder.hh"
+#include "workloads/replay.hh"
 #include "workloads/workload.hh"
 
 using namespace vcoma;
@@ -36,11 +40,28 @@ struct RunResult
     bool fastPathActive = false;
 };
 
-RunResult
-runOnce(Scheme scheme, const std::string &workload, bool fastPath)
+/**
+ * The tiny test machine on @p nodes CPUs. Past 16 nodes the
+ * attraction memories grow with the node count so every home node
+ * still owns a page colour; they stay small enough to keep the
+ * machine contended.
+ */
+MachineConfig
+testConfig(Scheme scheme, unsigned nodes, bool fastPath)
 {
     MachineConfig cfg = tinyConfig(scheme);
+    cfg.numNodes = nodes;
+    if (nodes > 16)
+        cfg.am.sizeBytes *= nodes / 16;
     cfg.fastPath = fastPath;
+    return cfg;
+}
+
+RunResult
+runOnce(Scheme scheme, const std::string &workload, bool fastPath,
+        unsigned nodes)
+{
+    const MachineConfig cfg = testConfig(scheme, nodes, fastPath);
     Machine machine(cfg);
     WorkloadParams p;
     p.threads = cfg.numNodes;
@@ -91,19 +112,17 @@ expectSameStats(const RunStats &fast, const RunStats &slow)
     }
 }
 
-} // namespace
-
-using Case = std::tuple<Scheme, std::string>;
-
-class FastPathEquivalence : public ::testing::TestWithParam<Case>
+/**
+ * Fast path on (winner-tree dispatch, fast filter, replay drain)
+ * against fast path off (the reference heap loop) on @p nodes CPUs:
+ * every sheet byte must match.
+ */
+void
+expectFastPathEquivalence(Scheme scheme, const std::string &workload,
+                          unsigned nodes)
 {
-};
-
-TEST_P(FastPathEquivalence, IdenticalStatsOnAndOff)
-{
-    const auto [scheme, workload] = GetParam();
-    const RunResult fast = runOnce(scheme, workload, /*fastPath=*/true);
-    const RunResult slow = runOnce(scheme, workload, /*fastPath=*/false);
+    const RunResult fast = runOnce(scheme, workload, true, nodes);
+    const RunResult slow = runOnce(scheme, workload, false, nodes);
 
     // The knob must actually gate the path (schemes translating
     // before the FLC, L0 and VICTIMA, are structurally excluded:
@@ -121,24 +140,68 @@ TEST_P(FastPathEquivalence, IdenticalStatsOnAndOff)
     EXPECT_EQ(fast.dump, slow.dump);
 }
 
+std::string
+caseName(Scheme scheme, const std::string &workload)
+{
+    std::string n = std::string(schemeName(scheme)) + "_" + workload;
+    n.erase(std::remove_if(n.begin(), n.end(),
+                           [](char c) {
+                               return !std::isalnum(
+                                          static_cast<unsigned char>(c)) &&
+                                      c != '_';
+                           }),
+            n.end());
+    return n;
+}
+
+} // namespace
+
+using Case = std::tuple<Scheme, std::string>;
+
+class FastPathEquivalence : public ::testing::TestWithParam<Case>
+{
+};
+
+TEST_P(FastPathEquivalence, IdenticalStatsOnAndOff)
+{
+    const auto [scheme, workload] = GetParam();
+    expectFastPathEquivalence(scheme, workload, 4);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSchemesAllWorkloads, FastPathEquivalence,
     ::testing::Combine(::testing::ValuesIn(allRegisteredSchemes()),
                        ::testing::Values("RADIX", "FFT", "FMM", "OCEAN",
                                          "RAYTRACE", "BARNES", "UNIFORM",
-                                         "STRIDE", "HOTSPOT")),
+                                         "STRIDE", "HOTSPOT", "KVLOOKUP",
+                                         "GRAPH", "STREAMJOIN")),
     [](const ::testing::TestParamInfo<Case> &info) {
-        std::string n = std::string(schemeName(std::get<0>(info.param))) +
-                        "_" + std::get<1>(info.param);
-        n.erase(std::remove_if(n.begin(), n.end(),
-                               [](char c) {
-                                   return !std::isalnum(
-                                              static_cast<unsigned char>(
-                                                  c)) &&
-                                          c != '_';
-                               }),
-                n.end());
-        return n;
+        return caseName(std::get<0>(info.param), std::get<1>(info.param));
+    });
+
+/**
+ * The same oracle at the paper's 32-node width, where the winner tree
+ * has five levels. RAYTRACE hands out tiles (nextTile_++) under a lock
+ * grant, so its sheet depends on dispatch order; OCEAN and BARNES are
+ * barrier-heavy.
+ */
+class FastPathEquivalence32 : public ::testing::TestWithParam<Case>
+{
+};
+
+TEST_P(FastPathEquivalence32, IdenticalStatsOnAndOff)
+{
+    const auto [scheme, workload] = GetParam();
+    expectFastPathEquivalence(scheme, workload, 32);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThirtyTwoNodes, FastPathEquivalence32,
+    ::testing::Combine(::testing::Values(Scheme::L0, Scheme::L3,
+                                         Scheme::VCOMA),
+                       ::testing::Values("RAYTRACE", "OCEAN", "BARNES")),
+    [](const ::testing::TestParamInfo<Case> &info) {
+        return caseName(std::get<0>(info.param), std::get<1>(info.param));
     });
 
 TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
@@ -176,6 +239,54 @@ TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
     expectSameStats(fast.stats, slow.stats);
     EXPECT_EQ(fast.json, slow.json);
     EXPECT_EQ(fast.dump, slow.dump);
+}
+
+TEST(FastPathTrace, PackedReplayAt32NodesIsIdentical)
+{
+    // Record a packed trace of a live 32-node run, then replay it
+    // fast path on (the winner tree bounds each replay drain by the
+    // runner-up) and off (the reference heap, no drain): both replays
+    // must reproduce the live sheet byte for byte. RAYTRACE's tiles
+    // follow lock grants; OCEAN and BARNES are barrier-heavy.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("vcoma_test_fastpath_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    for (const std::string workload : {"RAYTRACE", "OCEAN", "BARNES"}) {
+        SCOPED_TRACE(workload);
+        const std::string trace = (dir / (workload + ".vctrace")).string();
+        auto sheet = [](const MachineConfig &cfg, Workload &w) {
+            Machine machine(cfg);
+            RunResult r;
+            r.stats = machine.run(w);
+            std::ostringstream dump;
+            machine.dumpStats(dump);
+            r.dump = dump.str();
+            std::ostringstream json;
+            writeRunStatsJson(json, r.stats);
+            r.json = json.str();
+            return r;
+        };
+
+        WorkloadParams p;
+        p.threads = 32;
+        p.scale = 0.02;
+        auto live = makeWorkload(workload, p);
+        RecordingWorkload recorder(*live, trace, "fastpath-test");
+        const RunResult recorded =
+            sheet(testConfig(Scheme::VCOMA, 32, true), recorder);
+        ASSERT_TRUE(recorder.finalize());
+
+        for (const bool fastPath : {true, false}) {
+            ReplayWorkload replay(trace);
+            const RunResult r =
+                sheet(testConfig(Scheme::VCOMA, 32, fastPath), replay);
+            expectSameStats(r.stats, recorded.stats);
+            EXPECT_EQ(r.json, recorded.json) << "fastPath " << fastPath;
+            EXPECT_EQ(r.dump, recorded.dump) << "fastPath " << fastPath;
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(FastPathEnv, EnvOverridesConfig)

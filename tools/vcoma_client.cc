@@ -27,9 +27,11 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/parse_number.hh"
 #include "harness/runner.hh"
 #include "sim/run_stats_json.hh"
 #include "translation/scheme.hh"
@@ -92,6 +94,20 @@ parse(int argc, char **argv)
         }
         return argv[++i];
     };
+    // Every numeric flag parses strictly: a malformed or out-of-range
+    // value is a usage error naming the flag, never a different number.
+    auto number = [&](int &i, auto &out) {
+        const char *flag = argv[i];
+        const std::string text = value(i);
+        const auto v =
+            parseNumber<std::remove_reference_t<decltype(out)>>(text);
+        if (!v) {
+            std::cerr << "vcoma_client: invalid value '" << text << "' for "
+                      << flag << "\n";
+            usage(2);
+        }
+        out = *v;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--out-dir")
@@ -107,18 +123,15 @@ parse(int argc, char **argv)
         else if (arg == "--schemes")
             opt.schemes = splitList(value(i));
         else if (arg == "--entries")
-            opt.base.tlbEntries =
-                static_cast<unsigned>(std::stoul(value(i)));
+            number(i, opt.base.tlbEntries);
         else if (arg == "--assoc")
-            opt.base.tlbAssoc =
-                static_cast<unsigned>(std::stoul(value(i)));
+            number(i, opt.base.tlbAssoc);
         else if (arg == "--nodes")
-            opt.base.nodes =
-                static_cast<unsigned>(std::stoul(value(i)));
+            number(i, opt.base.nodes);
         else if (arg == "--scale")
-            opt.base.scale = std::stod(value(i));
+            number(i, opt.base.scale);
         else if (arg == "--seed")
-            opt.base.seed = std::stoull(value(i));
+            number(i, opt.base.seed);
         else if (arg == "--untimed")
             opt.base.timedTranslation = false;
         else if (arg == "--timed")
@@ -128,10 +141,9 @@ parse(int argc, char **argv)
         else if (arg == "--raytrace-v2")
             opt.base.raytraceV2 = true;
         else if (arg == "--am-assoc")
-            opt.base.amAssoc =
-                static_cast<unsigned>(std::stoul(value(i)));
+            number(i, opt.base.amAssoc);
         else if (arg == "--xlat-penalty")
-            opt.base.xlatPenalty = std::stoull(value(i));
+            number(i, opt.base.xlatPenalty);
         else if (arg == "--inject-fault")
             opt.base.injectFault = value(i);
         else if (arg == "--help" || arg == "-h")

@@ -17,7 +17,9 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
+#include "common/parse_number.hh"
 #include "sim/machine.hh"
 #include "sim/trace.hh"
 #include "translation/scheme.hh"
@@ -122,6 +124,20 @@ parse(int argc, char **argv)
         }
         return argv[++i];
     };
+    // Every numeric flag parses strictly: a malformed or out-of-range
+    // value is a usage error naming the flag, never a different number.
+    auto number = [&](int &i, auto &out) {
+        const char *flag = argv[i];
+        const std::string text = value(i);
+        const auto v =
+            parseNumber<std::remove_reference_t<decltype(out)>>(text);
+        if (!v) {
+            std::cerr << "vcoma_sim: invalid value '" << text << "' for "
+                      << flag << "\n";
+            usage(2);
+        }
+        out = *v;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--workload")
@@ -129,15 +145,15 @@ parse(int argc, char **argv)
         else if (arg == "--scheme")
             opt.scheme = parseScheme(value(i));
         else if (arg == "--entries")
-            opt.entries = static_cast<unsigned>(std::stoul(value(i)));
+            number(i, opt.entries);
         else if (arg == "--assoc")
-            opt.assoc = static_cast<unsigned>(std::stoul(value(i)));
+            number(i, opt.assoc);
         else if (arg == "--nodes")
-            opt.nodes = static_cast<unsigned>(std::stoul(value(i)));
+            number(i, opt.nodes);
         else if (arg == "--scale")
-            opt.scale = std::stod(value(i));
+            number(i, opt.scale);
         else if (arg == "--seed")
-            opt.seed = std::stoull(value(i));
+            number(i, opt.seed);
         else if (arg == "--untimed")
             opt.timed = false;
         else if (arg == "--raytrace-v2")
