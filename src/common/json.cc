@@ -340,7 +340,9 @@ std::uint64_t
 JsonValue::asUint() const
 {
     const double n = asNumber();
-    if (n < 0.0 || n != std::floor(n))
+    // 2^64 and up (including "1e999", which parses as infinity) has
+    // no uint64 value; casting it would be undefined behaviour.
+    if (n < 0.0 || n != std::floor(n) || !(n < 0x1p64))
         throw JsonError("number is not a non-negative integer");
     return static_cast<std::uint64_t>(n);
 }

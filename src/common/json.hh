@@ -53,7 +53,7 @@ class JsonValue
 
     bool asBool() const;
     double asNumber() const;
-    /** Number as a non-negative integer; throws if negative/fractional. */
+    /** Number as a uint64; throws if negative, fractional or >= 2^64. */
     std::uint64_t asUint() const;
     const std::string &asString() const;
 

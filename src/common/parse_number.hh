@@ -21,13 +21,14 @@ namespace vcoma
 {
 
 /**
- * Parse all of @p text as a T: decimal digits for an unsigned integer
- * type, a finite non-negative decimal for double. Returns nothing on
- * any malformed or out-of-range input.
+ * Parse all of @p text as a T: digits in @p base for an unsigned
+ * integer type (no "0x" prefix; the caller strips it and passes 16),
+ * a finite non-negative decimal for double (@p base is ignored).
+ * Returns nothing on any malformed or out-of-range input.
  */
 template <typename T>
 std::optional<T>
-parseNumber(std::string_view text)
+parseNumber(std::string_view text, int base = 10)
 {
     static_assert(std::is_same_v<T, double> ||
                       (std::is_integral_v<T> && std::is_unsigned_v<T>),
@@ -39,8 +40,12 @@ parseNumber(std::string_view text)
     const char *const first = text.data();
     const char *const last = first + text.size();
     T value{};
-    const auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc{} || ptr != last)
+    std::from_chars_result r;
+    if constexpr (std::is_same_v<T, double>)
+        r = std::from_chars(first, last, value);
+    else
+        r = std::from_chars(first, last, value, base);
+    if (r.ec != std::errc{} || r.ptr != last)
         return std::nullopt;
     if constexpr (std::is_same_v<T, double>) {
         if (!std::isfinite(value))

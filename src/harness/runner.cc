@@ -11,8 +11,11 @@
 #include <fstream>
 #include <future>
 #include <iomanip>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
 
@@ -23,6 +26,7 @@
 #include "common/thread_pool.hh"
 #include "sim/machine.hh"
 #include "sim/memref_pack.hh"
+#include "sim/run_stats_json.hh"
 #include "translation/scheme.hh"
 #include "translation/system_builder.hh"
 #include "workloads/replay.hh"
@@ -35,11 +39,11 @@ namespace
 {
 
 /**
- * v4: Rng::below() lost its modulo bias (Lemire rejection), which
- * shifts every deterministic reference stream; sheets cached by
- * earlier builds must never mix with fresh runs.
+ * First line of every cache entry; the rest is the JSON sheet. v5:
+ * the entry became the sheet itself (v4 was a private text codec,
+ * which a v5 reader must never half-parse as a sheet).
  */
-constexpr const char *cacheMagic = "vcoma-cache-v4";
+constexpr std::string_view cacheMagic = "vcoma-cache-v5";
 
 /**
  * Make one key component safe to embed in a file name. Plain
@@ -133,15 +137,6 @@ ExperimentConfig::key() const
 Runner::Runner(std::string cacheDir)
     : cacheDir_(std::move(cacheDir)), traceDir_(envTraceDir())
 {
-    // Multi-tenant caches: $VCOMA_CACHE_TENANT namespaces this
-    // runner's entries into a per-tenant subdirectory with its own
-    // pruning budget, so one client's sweep can never evict another
-    // tenant's warm results. The global budget keeps bounding the
-    // shared root (pruning is non-recursive, so it never reaches
-    // into tenant subdirectories either way).
-    const std::string tenant = envCacheTenant();
-    if (!cacheDir_.empty() && !tenant.empty())
-        cacheDir_ += "/" + tenant;
     if (!cacheDir_.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(cacheDir_, ec);
@@ -152,16 +147,8 @@ Runner::Runner(std::string cacheDir)
         }
     }
     if (!cacheDir_.empty()) {
-        if (tenant.empty()) {
-            if (const std::uint64_t maxBytes = envCacheMaxBytes())
-                pruneCache(cacheDir_, maxBytes);
-        } else {
-            std::uint64_t maxBytes = envCacheTenantMaxBytes();
-            if (!maxBytes)
-                maxBytes = envCacheMaxBytes();
-            if (maxBytes)
-                pruneCache(cacheDir_, maxBytes);
-        }
+        if (const std::uint64_t maxBytes = envCacheMaxBytes())
+            pruneCache(cacheDir_, maxBytes);
     }
     if (!traceDir_.empty()) {
         std::error_code ec;
@@ -308,36 +295,6 @@ Runner::envCacheMaxBytes()
 }
 
 std::string
-Runner::envCacheTenant()
-{
-    const char *s = std::getenv("VCOMA_CACHE_TENANT");
-    if (!s || !*s)
-        return "";
-    const std::string tenant(s);
-    // The tenant becomes a path component; anything that could
-    // escape the cache directory or collide with an entry name is
-    // rejected loudly rather than half-honoured.
-    bool ok = tenant != "." && tenant != "..";
-    for (const char c : tenant) {
-        const auto u = static_cast<unsigned char>(c);
-        if (!std::isalnum(u) && c != '.' && c != '_' && c != '-')
-            ok = false;
-    }
-    if (!ok) {
-        warn("VCOMA_CACHE_TENANT='", s, "' is not a plain directory "
-             "name ([A-Za-z0-9._-], not . or ..): ignoring it");
-        return "";
-    }
-    return tenant;
-}
-
-std::uint64_t
-Runner::envCacheTenantMaxBytes()
-{
-    return envMegabytes("VCOMA_CACHE_TENANT_MAX_MB");
-}
-
-std::string
 Runner::envTraceDir()
 {
     const char *s = std::getenv("VCOMA_TRACE_DIR");
@@ -353,7 +310,7 @@ Runner::envTraceMaxBytes()
 unsigned
 Runner::pruneCache(const std::string &dir, std::uint64_t maxBytes)
 {
-    return pruneOldest(dir, maxBytes, ".txt", "cache entry");
+    return pruneOldest(dir, maxBytes, ".json", "cache entry");
 }
 
 unsigned
@@ -602,119 +559,29 @@ Runner::cachePath(const ExperimentConfig &cfg) const
 {
     if (cacheDir_.empty())
         return "";
-    return cacheDir_ + "/" + cfg.key() + ".txt";
+    return cacheDir_ + "/" + cfg.key() + ".json";
 }
 
 bool
 Runner::load(const std::string &path, RunStats &stats) const
 {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         return false;
-    std::string magic;
-    if (!std::getline(in, magic) || magic != cacheMagic)
+    const std::string entry{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    // The magic line, the sheet, one newline; anything else (an
+    // older format, a torn write, a hand edit) is a miss.
+    const std::size_t head = cacheMagic.size() + 1;
+    if (entry.size() <= head || !entry.starts_with(cacheMagic) ||
+        entry[head - 1] != '\n' || entry.back() != '\n')
         return false;
-
-    std::string line;
-    auto restOf = [](const std::string &l, std::size_t at) {
-        return l.substr(at);
-    };
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        ls >> tag;
-        if (tag == "workload") {
-            stats.workload = line.size() > 9 ? restOf(line, 9) : "";
-            continue;
-        } else if (tag == "parameters") {
-            stats.parameters = line.size() > 11 ? restOf(line, 11) : "";
-            continue;
-        } else if (tag == "scheme") {
-            int v = -1;
-            ls >> v;
-            // A value outside the registry (corrupt file, or a sheet
-            // written by a future version with more schemes) must
-            // never masquerade as a valid scheme: reject the whole
-            // file so the runner re-simulates instead.
-            if (v < 0 || !isKnownScheme(static_cast<unsigned>(v)))
-                return false;
-            stats.scheme = static_cast<Scheme>(v);
-        } else if (tag == "numNodes") {
-            ls >> stats.numNodes;
-        } else if (tag == "sharedBytes") {
-            ls >> stats.sharedBytes;
-        } else if (tag == "execTime") {
-            ls >> stats.execTime;
-        } else if (tag == "cpu") {
-            CpuStats c;
-            ls >> c.refs >> c.reads >> c.writes >> c.busy >> c.sync >>
-                c.locStall >> c.remStall >> c.xlatStall >> c.finish;
-            stats.cpus.push_back(c);
-        } else if (tag == "shadow") {
-            ShadowPoint p;
-            ls >> p.entries >> p.assoc >> p.demandAccesses >>
-                p.demandMisses >> p.writebackAccesses >>
-                p.writebackMisses;
-            stats.shadow.push_back(p);
-        } else if (tag == "tlb") {
-            ls >> stats.tlbAccesses >> stats.tlbMisses >>
-                stats.tlbWritebackAccesses >> stats.tlbWritebackMisses;
-        } else if (tag == "pressure") {
-            double v;
-            while (ls >> v)
-                stats.pressureProfile.push_back(v);
-            // The loop always ends in a failed read; only one at the
-            // end of the line is the list's normal end.
-            if (!ls.eof())
-                return false;
-            ls.clear();
-        } else if (tag == "caches") {
-            ls >> stats.flcAccesses >> stats.flcMisses >>
-                stats.slcAccesses >> stats.slcMisses >> stats.amHits >>
-                stats.amMisses;
-        } else if (tag == "protocol") {
-            ls >> stats.remoteReads >> stats.remoteWrites >>
-                stats.upgrades >> stats.invalidations >>
-                stats.injections >> stats.injectionHops >>
-                stats.sharedDrops >> stats.pageFaults >>
-                stats.swapOuts >> stats.tlbShootdowns;
-        } else if (tag == "network") {
-            ls >> stats.requestMessages >> stats.blockMessages;
-        } else if (tag == "dlb") {
-            ls >> stats.dlbFilteredRefs >> stats.dlbSharedHits >>
-                stats.dlbPrefetchedFills;
-        } else if (tag == "spill") {
-            ls >> stats.tlbSpillProbes >> stats.tlbSpillHits >>
-                stats.tlbSpillFills;
-        } else if (tag == "dlbreq") {
-            ls >> stats.dlbRequestersPerEntry.count >>
-                stats.dlbRequestersPerEntry.sum >>
-                stats.dlbRequestersPerEntry.min >>
-                stats.dlbRequestersPerEntry.max;
-        } else if (tag == "lat") {
-            // lat <which> <count> <sum> <min> <max>
-            std::string which;
-            ls >> which;
-            DistSummary *d = which == "read" ? &stats.remoteReadLatency
-                             : which == "write"
-                                 ? &stats.remoteWriteLatency
-                             : which == "dlbfill" ? &stats.dlbFillLatency
-                                                  : nullptr;
-            if (!d)
-                continue;
-            ls >> d->count >> d->sum >> d->min >> d->max;
-        } else if (tag == "end") {
-            return true;
-        } else {
-            continue;
-        }
-        // Every field of a known tag must parse, with nothing left
-        // over: a torn or hand-edited number ("12x") would otherwise
-        // load as a zeroed field and be served as a sheet.
-        if (ls.fail() || !(ls >> std::ws).eof())
-            return false;
-    }
-    return false;  // truncated file
+    std::optional<RunStats> parsed = readRunStatsJson(
+        std::string_view(entry).substr(head, entry.size() - head - 1));
+    if (!parsed)
+        return false;
+    stats = std::move(*parsed);
+    return true;
 }
 
 void
@@ -754,71 +621,8 @@ Runner::storeOnce(const std::string &path, const RunStats &stats,
         return false;
     }
     out << cacheMagic << "\n";
-    out << "workload " << stats.workload << "\n";
-    out << "parameters " << stats.parameters << "\n";
-    out << "scheme " << static_cast<int>(stats.scheme) << "\n";
-    out << "numNodes " << stats.numNodes << "\n";
-    out << "sharedBytes " << stats.sharedBytes << "\n";
-    out << "execTime " << stats.execTime << "\n";
-    for (const auto &c : stats.cpus) {
-        out << "cpu " << c.refs << " " << c.reads << " " << c.writes
-            << " " << c.busy << " " << c.sync << " " << c.locStall << " "
-            << c.remStall << " " << c.xlatStall << " " << c.finish
-            << "\n";
-    }
-    for (const auto &p : stats.shadow) {
-        out << "shadow " << p.entries << " " << p.assoc << " "
-            << p.demandAccesses << " " << p.demandMisses << " "
-            << p.writebackAccesses << " " << p.writebackMisses << "\n";
-    }
-    out << "tlb " << stats.tlbAccesses << " " << stats.tlbMisses << " "
-        << stats.tlbWritebackAccesses << " " << stats.tlbWritebackMisses
-        << "\n";
-    // 17 significant digits round-trip any double exactly, so a sheet
-    // reloaded from disk is bit-identical to the one simulated (warm
-    // and cold sweeps emit the same sheet bytes).
-    out << "pressure" << std::setprecision(17);
-    for (double v : stats.pressureProfile)
-        out << " " << v;
-    out << std::setprecision(6) << "\n";
-    out << "caches " << stats.flcAccesses << " " << stats.flcMisses
-        << " " << stats.slcAccesses << " " << stats.slcMisses << " "
-        << stats.amHits << " " << stats.amMisses << "\n";
-    out << "protocol " << stats.remoteReads << " " << stats.remoteWrites
-        << " " << stats.upgrades << " " << stats.invalidations << " "
-        << stats.injections << " " << stats.injectionHops << " "
-        << stats.sharedDrops << " " << stats.pageFaults << " "
-        << stats.swapOuts << " " << stats.tlbShootdowns << "\n";
-    out << "network " << stats.requestMessages << " "
-        << stats.blockMessages << "\n";
-    // Observability extras, appended after the v3 tags so old cache
-    // files (which simply lack them) still load with default-zero
-    // values; the loader ignores tags it does not know, so nothing
-    // here requires a magic bump.
-    out << "dlb " << stats.dlbFilteredRefs << " " << stats.dlbSharedHits
-        << " " << stats.dlbPrefetchedFills << "\n";
-    // Spill counters only exist under slcTlbSpill schemes (VICTIMA):
-    // emitting the tag conditionally keeps every legacy sheet
-    // byte-identical, and the loader defaults the fields to zero.
-    if (stats.tlbSpillProbes || stats.tlbSpillHits ||
-        stats.tlbSpillFills) {
-        out << "spill " << stats.tlbSpillProbes << " "
-            << stats.tlbSpillHits << " " << stats.tlbSpillFills << "\n";
-    }
-    const auto putSummary = [&out](const char *tag, const char *which,
-                                   const DistSummary &d) {
-        out << tag;
-        if (*which)
-            out << " " << which;
-        out << " " << d.count << " " << std::setprecision(17) << d.sum
-            << " " << d.min << " " << d.max << std::setprecision(6)
-            << "\n";
-    };
-    putSummary("dlbreq", "", stats.dlbRequestersPerEntry);
-    putSummary("lat", "read", stats.remoteReadLatency);
-    putSummary("lat", "write", stats.remoteWriteLatency);
-    putSummary("lat", "dlbfill", stats.dlbFillLatency);
-    out << "end\n";
+    writeRunStatsJson(out, stats);
+    out << "\n";
     out.close();
     std::error_code ec;
     if (!out) {

@@ -89,6 +89,10 @@ struct FailedRun
 /**
  * Runs experiments with in-memory + on-disk caching.
  *
+ * A disk entry, `<cacheDir>/<key>.json`, is the line "vcoma-cache-v5",
+ * then the writeRunStatsJson() sheet and a newline. An entry that
+ * readRunStatsJson() rejects is a miss: the config simulates again.
+ *
  * Thread safety: run() and runAll() may be called from any thread;
  * the memo map and execution counter are internally synchronised.
  * Returned references stay valid for the Runner's lifetime (the memo
@@ -164,22 +168,6 @@ class Runner
     static std::uint64_t envCacheMaxBytes();
 
     /**
-     * Cache tenant from $VCOMA_CACHE_TENANT, or "" (the default
-     * shared namespace). When set, this runner's entries live in
-     * `<cacheDir>/<tenant>/` and pruning applies the tenant budget
-     * ($VCOMA_CACHE_TENANT_MAX_MB, falling back to
-     * $VCOMA_CACHE_MAX_MB) to that subdirectory only — one
-     * client can never evict another tenant's warm results, and the
-     * shared root's non-recursive pruning never reaches into tenant
-     * subdirectories. Values that are not a plain directory name
-     * ([A-Za-z0-9._-], not "." or "..") are rejected with a warning.
-     */
-    static std::string envCacheTenant();
-
-    /** Tenant budget from $VCOMA_CACHE_TENANT_MAX_MB in bytes; 0 = unset. */
-    static std::uint64_t envCacheTenantMaxBytes();
-
-    /**
      * Reference-trace directory from $VCOMA_TRACE_DIR; empty string
      * (the default) disables record/replay. When set, the first
      * execution of a config records its packed memref trace under
@@ -193,7 +181,7 @@ class Runner
     static std::uint64_t envTraceMaxBytes();
 
     /**
-     * Delete the oldest-mtime cache entries (*.txt files) in @p dir
+     * Delete the oldest-mtime cache entries (*.json files) in @p dir
      * until the survivors fit in @p maxBytes. Files that are not
      * cache entries — subdirectories, in-flight *.tmp.* stagings,
      * anything a user dropped in the directory — are never touched.

@@ -89,7 +89,7 @@ constexpr std::size_t packedHeaderBytes = 64;
  * layout as v1 but marks the unbiased Rng::below() era: traces
  * recorded before the modulo-bias fix carry pre-fix reference
  * streams and must re-record rather than silently replay into fresh
- * sweeps (the disk-cache magic made the same jump to vcoma-cache-v4).
+ * sweeps (the result-cache magic made the same jump, from v3 to v4).
  */
 constexpr std::uint32_t packedTraceVersion = 2;
 

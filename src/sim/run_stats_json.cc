@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <mutex>
+#include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -166,6 +168,123 @@ writeRunStatsJson(std::ostream &os, const RunStats &s)
     os << "}";
 
     os << "}";
+}
+
+namespace
+{
+
+/// A sheet number: the writer spells a non-finite double as null.
+double
+numberOf(const JsonValue &v)
+{
+    return v.isNull() ? std::numeric_limits<double>::quiet_NaN()
+                      : v.asNumber();
+}
+
+DistSummary
+readDist(const JsonValue &v)
+{
+    return {v.at("count").asUint(), numberOf(v.at("sum")),
+            numberOf(v.at("min")), numberOf(v.at("max"))};
+}
+
+} // namespace
+
+std::optional<RunStats>
+readRunStatsJson(std::string_view text)
+{
+    RunStats s;
+    try {
+        const JsonValue doc = JsonValue::parse(text);
+        s.workload = doc.at("workload").asString();
+        s.parameters = doc.at("parameters").asString();
+        if (!tryParseScheme(doc.at("scheme").asString(), s.scheme))
+            return std::nullopt;
+        // Narrowing casts are safe: a value they truncate no longer
+        // re-serialises to the input, so the entry is rejected below.
+        s.numNodes = static_cast<unsigned>(doc.at("numNodes").asUint());
+        s.sharedBytes = doc.at("sharedBytes").asUint();
+        s.execTime = doc.at("execTime").asUint();
+
+        for (const JsonValue &c : doc.at("cpus").asArray()) {
+            s.cpus.push_back({c.at("refs").asUint(), c.at("reads").asUint(),
+                              c.at("writes").asUint(), c.at("busy").asUint(),
+                              c.at("sync").asUint(),
+                              c.at("locStall").asUint(),
+                              c.at("remStall").asUint(),
+                              c.at("xlatStall").asUint(),
+                              c.at("finish").asUint()});
+        }
+        for (const JsonValue &p : doc.at("shadow").asArray()) {
+            s.shadow.push_back(
+                {static_cast<unsigned>(p.at("entries").asUint()),
+                 static_cast<unsigned>(p.at("assoc").asUint()),
+                 p.at("demandAccesses").asUint(),
+                 p.at("demandMisses").asUint(),
+                 p.at("writebackAccesses").asUint(),
+                 p.at("writebackMisses").asUint()});
+        }
+
+        const JsonValue &tlb = doc.at("tlb");
+        s.tlbAccesses = tlb.at("accesses").asUint();
+        s.tlbMisses = tlb.at("misses").asUint();
+        s.tlbWritebackAccesses = tlb.at("writebackAccesses").asUint();
+        s.tlbWritebackMisses = tlb.at("writebackMisses").asUint();
+
+        for (const JsonValue &v : doc.at("pressureProfile").asArray())
+            s.pressureProfile.push_back(numberOf(v));
+
+        const JsonValue &caches = doc.at("caches");
+        s.flcAccesses = caches.at("flcAccesses").asUint();
+        s.flcMisses = caches.at("flcMisses").asUint();
+        s.slcAccesses = caches.at("slcAccesses").asUint();
+        s.slcMisses = caches.at("slcMisses").asUint();
+        s.amHits = caches.at("amHits").asUint();
+        s.amMisses = caches.at("amMisses").asUint();
+
+        const JsonValue &proto = doc.at("protocol");
+        s.remoteReads = proto.at("remoteReads").asUint();
+        s.remoteWrites = proto.at("remoteWrites").asUint();
+        s.upgrades = proto.at("upgrades").asUint();
+        s.invalidations = proto.at("invalidations").asUint();
+        s.injections = proto.at("injections").asUint();
+        s.injectionHops = proto.at("injectionHops").asUint();
+        s.sharedDrops = proto.at("sharedDrops").asUint();
+        s.pageFaults = proto.at("pageFaults").asUint();
+        s.swapOuts = proto.at("swapOuts").asUint();
+        s.tlbShootdowns = proto.at("tlbShootdowns").asUint();
+
+        const JsonValue &net = doc.at("network");
+        s.requestMessages = net.at("requestMessages").asUint();
+        s.blockMessages = net.at("blockMessages").asUint();
+
+        const JsonValue &dlb = doc.at("dlb");
+        s.dlbFilteredRefs = dlb.at("filteredRefs").asUint();
+        s.dlbSharedHits = dlb.at("sharedHits").asUint();
+        s.dlbPrefetchedFills = dlb.at("prefetchedFills").asUint();
+        s.dlbRequestersPerEntry = readDist(dlb.at("requestersPerEntry"));
+
+        if (const JsonValue *spill = doc.find("tlbSpill")) {
+            s.tlbSpillProbes = spill->at("probes").asUint();
+            s.tlbSpillHits = spill->at("hits").asUint();
+            s.tlbSpillFills = spill->at("fills").asUint();
+        }
+
+        const JsonValue &lat = doc.at("latency");
+        s.remoteReadLatency = readDist(lat.at("remoteRead"));
+        s.remoteWriteLatency = readDist(lat.at("remoteWrite"));
+        s.dlbFillLatency = readDist(lat.at("dlbFill"));
+    } catch (const JsonError &) {
+        return std::nullopt;
+    }
+
+    // The writer defines the format: anything it would not emit for
+    // the parsed result is rejected, whatever the reader accepted.
+    std::ostringstream again;
+    writeRunStatsJson(again, s);
+    if (again.str() != text)
+        return std::nullopt;
+    return s;
 }
 
 bool

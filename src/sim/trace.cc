@@ -1,12 +1,15 @@
 #include "sim/trace.hh"
 
-#include <cstdlib>
+#include <algorithm>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 
 namespace vcoma
 {
@@ -30,6 +33,30 @@ kindChar(const MemRef &ref)
         return 'U';
     }
     return '?';
+}
+
+/** Whitespace-separated fields of one trace line. */
+std::vector<std::string>
+fieldsOf(const std::string &line)
+{
+    std::istringstream ls(line);
+    std::vector<std::string> fields;
+    for (std::string field; ls >> field;)
+        fields.push_back(field);
+    return fields;
+}
+
+/**
+ * A trace address: decimal, or hex with an explicit 0x prefix. Never
+ * octal: a leading zero must not silently change the base.
+ */
+std::optional<VAddr>
+parseAddress(std::string_view text)
+{
+    if (text.size() > 2 && text[0] == '0' &&
+        (text[1] == 'x' || text[1] == 'X'))
+        return parseNumber<VAddr>(text.substr(2), 16);
+    return parseNumber<VAddr>(text);
 }
 
 } // namespace
@@ -102,7 +129,7 @@ TraceWorkload::TraceWorkload(std::istream &is, std::string name)
 {
     // Parse line-by-line so every diagnostic can carry a line number,
     // and so garbage between or after events is an error rather than a
-    // silent end of parsing (operator>> would just stop).
+    // silent end of parsing.
     std::string line;
     std::uint64_t lineNo = 1;
     if (!std::getline(is, line) || line != traceMagic)
@@ -113,13 +140,16 @@ TraceWorkload::TraceWorkload(std::istream &is, std::string name)
         ++lineNo;
         if (!std::getline(is, line))
             fatal("trace line ", lineNo, ": missing thread count");
-        std::istringstream hs(line);
-        std::string tag, extra;
-        if (!(hs >> tag >> threads) || tag != "threads" || threads == 0)
+        const std::vector<std::string> f = fieldsOf(line);
+        const auto n = f.size() >= 2 && f[0] == "threads"
+                           ? parseNumber<unsigned>(f[1])
+                           : std::nullopt;
+        if (!n || *n == 0)
             fatal("trace line ", lineNo, ": missing thread count");
-        if (hs >> extra)
-            fatal("trace line ", lineNo, ": trailing garbage '", extra,
+        if (f.size() > 2)
+            fatal("trace line ", lineNo, ": trailing garbage '", f[2],
                   "' after thread count");
+        threads = *n;
     }
     perThread_.resize(threads);
 
@@ -127,80 +157,72 @@ TraceWorkload::TraceWorkload(std::istream &is, std::string name)
     VAddr hi = 0;
     while (std::getline(is, line)) {
         ++lineNo;
-        const std::size_t first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos)
-            continue;  // blank lines stay tolerated
-        if (line[first] == '#')
-            continue;  // comment lines, for hand-written traces
-        std::istringstream ls(line);
-        unsigned tid = 0;
-        char kind = 0;
-        if (!(ls >> tid >> kind)) {
-            std::istringstream rs(line);
-            std::string word;
-            rs >> word;
-            if (word == "threads")
+        const std::vector<std::string> f = fieldsOf(line);
+        if (f.empty() || f[0].front() == '#')
+            continue;  // blank and comment lines stay tolerated
+        const auto tid = parseNumber<unsigned>(f[0]);
+        if (!tid || f.size() < 2 || f[1].size() != 1) {
+            if (f[0] == "threads")
                 fatal("trace line ", lineNo,
                       ": duplicate 'threads' header");
             fatal("trace line ", lineNo, ": malformed event '", line,
                   "'");
         }
-        if (tid >= threads)
-            fatal("trace line ", lineNo, ": thread id ", tid,
+        if (*tid >= threads)
+            fatal("trace line ", lineNo, ": thread id ", *tid,
                   " out of range (trace declares ", threads,
                   " threads)");
-        MemRef ref;
-        switch (kind) {
-          case 'R':
-          case 'W': {
-            ref.kind = MemRef::Kind::Mem;
-            ref.type = kind == 'R' ? RefType::Read : RefType::Write;
-            // External tools dump addresses in hex as often as in
-            // decimal; accept an explicit 0x prefix (never octal —
-            // a leading zero must not silently change the base).
-            std::string vtok;
-            if (!(ls >> vtok >> ref.work))
-                fatal("trace line ", lineNo,
-                      ": truncated memory event");
-            const bool hex = vtok.size() > 2 && vtok[0] == '0' &&
-                             (vtok[1] == 'x' || vtok[1] == 'X');
-            char *end = nullptr;
-            ref.vaddr = std::strtoull(vtok.c_str(), &end,
-                                      hex ? 16 : 10);
-            if (end == vtok.c_str() || *end != '\0')
-                fatal("trace line ", lineNo, ": bad address '", vtok,
-                      "'");
-            lo = std::min(lo, ref.vaddr);
-            hi = std::max(hi, ref.vaddr + 8);
-            break;
-          }
-          case 'B':
-            ref.kind = MemRef::Kind::Barrier;
-            if (!(ls >> ref.syncId))
-                fatal("trace line ", lineNo,
-                      ": truncated barrier event");
-            break;
-          case 'L':
-            ref.kind = MemRef::Kind::LockAcquire;
-            if (!(ls >> ref.syncId))
-                fatal("trace line ", lineNo,
-                      ": truncated lock event");
-            break;
-          case 'U':
-            ref.kind = MemRef::Kind::LockRelease;
-            if (!(ls >> ref.syncId))
-                fatal("trace line ", lineNo,
-                      ": truncated unlock event");
-            break;
-          default:
+
+        const char kind = f[1][0];
+        const bool mem = kind == 'R' || kind == 'W';
+        const char *family = mem           ? "memory"
+                             : kind == 'B' ? "barrier"
+                             : kind == 'L' ? "lock"
+                             : kind == 'U' ? "unlock"
+                                           : nullptr;
+        if (!family)
             fatal("trace line ", lineNo, ": unknown event kind '",
                   kind, "'");
+        const std::size_t arity = mem ? 4 : 3;
+        if (f.size() < arity)
+            fatal("trace line ", lineNo, ": truncated ", family,
+                  " event");
+        if (f.size() > arity)
+            fatal("trace line ", lineNo, ": trailing garbage '",
+                  f[arity], "' after event");
+
+        MemRef ref;
+        if (mem) {
+            ref.kind = MemRef::Kind::Mem;
+            ref.type = kind == 'R' ? RefType::Read : RefType::Write;
+            const auto vaddr = parseAddress(f[2]);
+            if (!vaddr)
+                fatal("trace line ", lineNo, ": bad address '", f[2],
+                      "'");
+            // The footprint covers 8 bytes per reference; past
+            // 2^64 - 8 that range would wrap.
+            if (*vaddr > std::numeric_limits<VAddr>::max() - 8)
+                fatal("trace line ", lineNo, ": address '", f[2],
+                      "' leaves no room for an 8-byte access");
+            const auto work = parseNumber<std::uint32_t>(f[3]);
+            if (!work)
+                fatal("trace line ", lineNo, ": bad work count '", f[3],
+                      "'");
+            ref.vaddr = *vaddr;
+            ref.work = *work;
+            lo = std::min(lo, ref.vaddr);
+            hi = std::max(hi, ref.vaddr + 8);
+        } else {
+            ref.kind = kind == 'B'   ? MemRef::Kind::Barrier
+                       : kind == 'L' ? MemRef::Kind::LockAcquire
+                                     : MemRef::Kind::LockRelease;
+            const auto id = parseNumber<std::uint32_t>(f[2]);
+            if (!id)
+                fatal("trace line ", lineNo, ": bad ", family, " id '",
+                      f[2], "'");
+            ref.syncId = *id;
         }
-        std::string extra;
-        if (ls >> extra)
-            fatal("trace line ", lineNo, ": trailing garbage '", extra,
-                  "' after event");
-        perThread_[tid].push_back(ref);
+        perThread_[*tid].push_back(ref);
     }
 
     // One synthetic segment spanning every touched address, so
@@ -227,19 +249,18 @@ TraceWorkload::numThreads() const
     return static_cast<unsigned>(perThread_.size());
 }
 
-Generator<MemRef>
-TraceWorkload::thread(unsigned tid)
+std::span<const MemRef>
+TraceWorkload::stream(unsigned tid)
 {
     if (tid >= perThread_.size())
         fatal("trace replay: no thread ", tid);
-    return replay(tid);
+    return perThread_[tid];
 }
 
 Generator<MemRef>
-TraceWorkload::replay(unsigned tid)
+TraceWorkload::thread(unsigned tid)
 {
-    for (const MemRef &ref : perThread_[tid])
-        co_yield ref;
+    return replayStream(stream(tid));
 }
 
 } // namespace vcoma

@@ -43,29 +43,33 @@ namespace vcoma
  */
 std::uint64_t recordTrace(Workload &workload, std::ostream &os);
 
-/** A workload that replays a previously recorded trace. */
+/**
+ * A workload that replays a previously recorded text trace. The
+ * parsed per-thread events are served as materialised streams, so a
+ * text replay takes the same Machine::run path as a packed one.
+ */
 class TraceWorkload : public Workload
 {
   public:
-    /** Parse a trace from @p is; fatal() on malformed input. */
+    /**
+     * Parse a trace from @p is; fatal() on malformed input, including
+     * a negative or out-of-range number and an address whose 8-byte
+     * access would wrap past 2^64.
+     */
     explicit TraceWorkload(std::istream &is, std::string name = "TRACE");
 
     std::string name() const override { return name_; }
     std::string parameters() const override;
     unsigned numThreads() const override;
-    Generator<MemRef> thread(unsigned tid) override;
     const AddressSpace &space() const override { return space_; }
 
-    /** Events of one thread (tests). */
-    const std::vector<MemRef> &
-    events(unsigned tid) const
-    {
-        return perThread_.at(tid);
-    }
+    bool materialised() const override { return true; }
+    std::span<const MemRef> stream(unsigned tid) override;
+
+    /** Coroutine view of the same stream (recordTrace() and tools). */
+    Generator<MemRef> thread(unsigned tid) override;
 
   private:
-    Generator<MemRef> replay(unsigned tid);
-
     std::string name_;
     AddressSpace space_;
     std::vector<std::vector<MemRef>> perThread_;

@@ -42,7 +42,7 @@ convertTextTraceToPacked(std::istream &in, const std::string &outPath,
                              text.sharedBytes());
     std::uint64_t events = 0;
     for (unsigned t = 0; t < text.numThreads(); ++t) {
-        for (const MemRef &ref : text.events(t)) {
+        for (const MemRef &ref : text.stream(t)) {
             writer.append(t, ref);
             ++events;
         }

@@ -118,12 +118,6 @@ schemeDescriptor(Scheme scheme)
     return d;
 }
 
-bool
-isKnownScheme(unsigned raw)
-{
-    return raw < schemeRegistry().size();
-}
-
 const std::vector<Scheme> &
 allRegisteredSchemes()
 {

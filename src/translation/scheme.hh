@@ -123,9 +123,6 @@ const std::vector<SchemeDescriptor> &schemeRegistry();
 /** Descriptor for @p scheme; fatal() on a value outside the registry. */
 const SchemeDescriptor &schemeDescriptor(Scheme scheme);
 
-/** True iff @p raw is the integer value of a registered scheme. */
-bool isKnownScheme(unsigned raw);
-
 /** Every registered scheme, in enum order. */
 const std::vector<Scheme> &allRegisteredSchemes();
 

@@ -20,14 +20,7 @@ ReplayWorkload::thread(unsigned tid)
     if (tid >= trace_.threads())
         fatal("replay: no thread ", tid, " (trace has ",
               trace_.threads(), ")");
-    return replay(tid);
-}
-
-Generator<MemRef>
-ReplayWorkload::replay(unsigned tid)
-{
-    for (const MemRef &ref : trace_.stream(tid))
-        co_yield ref;
+    return replayStream(trace_.stream(tid));
 }
 
 RecordingWorkload::RecordingWorkload(Workload &inner,

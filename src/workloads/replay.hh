@@ -56,8 +56,6 @@ class ReplayWorkload : public Workload
     std::uint64_t totalEvents() const { return trace_.totalEvents(); }
 
   private:
-    Generator<MemRef> replay(unsigned tid);
-
     PackedTrace trace_;
     AddressSpace space_;
 };

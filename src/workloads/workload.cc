@@ -83,6 +83,13 @@ Workload::stream(unsigned tid)
           "thread ", tid, " (materialised() is false)");
 }
 
+Generator<MemRef>
+replayStream(std::span<const MemRef> refs)
+{
+    for (const MemRef &ref : refs)
+        co_yield ref;
+}
+
 const std::vector<std::string> &
 workloadNames()
 {

@@ -102,6 +102,12 @@ class Workload
     std::uint64_t sharedBytes() const { return space().totalBytes(); }
 };
 
+/**
+ * Coroutine view of a materialised stream: yields each event of
+ * @p refs in order. @p refs must outlive the generator.
+ */
+Generator<MemRef> replayStream(std::span<const MemRef> refs);
+
 /** Scaling/seeding knobs shared by all workload factories. */
 struct WorkloadParams
 {

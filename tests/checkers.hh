@@ -1,18 +1,11 @@
 /**
  * @file
- * Whole-machine coherence invariant checkers shared by the protocol
- * and integration tests. These assert, over every block the machine
- * has ever touched:
- *
- *  1. directory/AM agreement: node m holds a valid AM copy iff the
- *     directory copyset says so;
- *  2. single ownership: exactly one copy is MasterShared/Exclusive,
- *     it belongs to the directory's owner, and Exclusive implies it
- *     is the only copy;
- *  3. version currency: every valid copy carries the directory's
- *     current write version (no stale data is reachable);
- *  4. inclusion: every valid FLC/SLC block lies under a valid AM
- *     block of its node.
+ * Cache inclusion checker shared by the protocol, machine, paging,
+ * geometry and integration tests: every valid FLC/SLC block lies
+ * under a valid AM block of its node. The coherence invariants
+ * (directory/AM agreement, single ownership, version currency) are
+ * InvariantChecker's (check/invariant_checker.hh); the tests call
+ * EXPECT_NO_THROW(InvariantChecker(m).enforce()).
  */
 
 #ifndef VCOMA_TESTS_CHECKERS_HH
@@ -24,65 +17,6 @@
 
 namespace vcoma
 {
-
-inline VAddr
-testAmKey(Machine &m, const PageInfo &page, VAddr blockVa)
-{
-    if (m.traits().amVirtual)
-        return blockVa;
-    return (page.frame << m.layout().pageBits()) |
-           (blockVa & mask(m.layout().pageBits()));
-}
-
-inline void
-checkCoherenceInvariants(Machine &m)
-{
-    const auto &layout = m.layout();
-    const unsigned blockBytes = m.config().am.blockBytes;
-
-    for (const auto &[vpn, dirPage] : m.directory().pages()) {
-        const PageInfo *page = m.pageTable().find(vpn);
-        ASSERT_NE(page, nullptr) << "directory page without PTE";
-        const VAddr base = vpn << layout.pageBits();
-        for (std::uint64_t i = 0; i < dirPage.size(); ++i) {
-            const DirectoryEntry &e = dirPage.entry(i);
-            const VAddr blockVa = base + i * blockBytes;
-            if (!e.resident()) {
-                EXPECT_EQ(e.copyset, 0u) << "copies without owner";
-                continue;
-            }
-            const VAddr amKey = testAmKey(m, *page, blockVa);
-            unsigned owners = 0;
-            for (unsigned n = 0; n < m.numNodes(); ++n) {
-                const AmLine *line = m.node(n).am.find(amKey);
-                const bool inSet = e.holds(n);
-                ASSERT_EQ(line != nullptr, inSet)
-                    << "node " << n << " copy/copyset mismatch, va 0x"
-                    << std::hex << blockVa;
-                if (!line)
-                    continue;
-                ASSERT_EQ(line->version, e.version)
-                    << "stale copy at node " << n;
-                if (isOwnerState(line->state)) {
-                    ++owners;
-                    ASSERT_EQ(e.owner, n) << "owner mismatch";
-                    ASSERT_EQ(line->state == AmState::Exclusive,
-                              e.exclusive);
-                    if (e.exclusive) {
-                        ASSERT_EQ(e.copies(), 1u)
-                            << "exclusive with sharers";
-                    }
-                } else {
-                    ASSERT_NE(e.owner, n)
-                        << "owner holds non-owned state";
-                }
-            }
-            ASSERT_EQ(owners, 1u)
-                << "blocks must have exactly one owner, va 0x"
-                << std::hex << blockVa;
-        }
-    }
-}
 
 inline void
 checkInclusion(Machine &m)

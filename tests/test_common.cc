@@ -423,6 +423,8 @@ TEST(ParseNumber, AcceptsWholeInRangeNumbers)
     EXPECT_EQ(parseNumber<double>("0.1"), 0.1);
     EXPECT_EQ(parseNumber<double>("2"), 2.0);
     EXPECT_EQ(parseNumber<double>("1e-3"), 1e-3);
+    EXPECT_EQ(parseNumber<std::uint64_t>("fFfF", 16), 0xffffu);
+    EXPECT_EQ(parseNumber<unsigned>("010"), 10u) << "never octal";
 }
 
 TEST(ParseNumber, RejectsTrailingCharacters)

@@ -209,7 +209,8 @@ TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
     // Record a trace once, then replay it twice — fast path on and
     // off — and require identical stats sheets. The replay goes
     // through TraceWorkload's parser, so this also round-trips the
-    // trace text format.
+    // trace text format; its streams are materialised, so the fast
+    // run also covers the replay drain on text traces.
     WorkloadParams p;
     p.threads = 4;
     p.scale = 0.02;
@@ -224,6 +225,7 @@ TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
         Machine machine(cfg);
         std::istringstream is(trace.str());
         TraceWorkload w(is);
+        EXPECT_TRUE(w.materialised());
         RunResult r;
         r.stats = machine.run(w);
         std::ostringstream dump;

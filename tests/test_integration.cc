@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 
+#include "check/invariant_checker.hh"
 #include "checkers.hh"
 #include "harness/runner.hh"
 #include "sim/machine.hh"
@@ -66,7 +67,7 @@ TEST_P(BaselineRun, CompletesWithInvariantsIntact)
     ASSERT_NE(machine, nullptr);
     EXPECT_GT(stats.totalRefs(), 1000u);
     EXPECT_GT(stats.execTime, 0u);
-    checkCoherenceInvariants(*machine);
+    EXPECT_NO_THROW(InvariantChecker(*machine).enforce());
     checkInclusion(*machine);
     // Accounting identity on every processor.
     for (const auto &cpu : stats.cpus)

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 
+#include "check/invariant_checker.hh"
 #include "checkers.hh"
 #include "sim/machine.hh"
 #include "translation/system_builder.hh"
@@ -52,7 +53,7 @@ TEST_P(MachineRun, UniformWorkloadCompletes)
     EXPECT_GT(stats.totalRefs(), 0u);
     EXPECT_GT(stats.execTime, 0u);
     EXPECT_EQ(stats.cpus.size(), 4u);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
     checkInclusion(m);
 }
 
@@ -230,5 +231,5 @@ TEST(MachineCross, LockContentionShowsAsSync)
     const RunStats stats = m.run(w);
     EXPECT_GT(stats.totalSync(), 0u);
     EXPECT_GE(stats.upgrades + stats.remoteWrites, 100u);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/invariant_checker.hh"
 #include "checkers.hh"
 #include "sim/machine.hh"
 #include "translation/system_builder.hh"
@@ -48,7 +49,7 @@ TEST_P(Paging, DaemonSwapsWhenPressureExceedsThreshold)
     }
     EXPECT_GT(m.pageTable().swapOuts.value(), 0u);
     EXPECT_LE(m.pressure().maxPressure(), 0.5 + 1e-9);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
 }
 
 TEST_P(Paging, SwappedPageReloadsWithData)
@@ -65,7 +66,7 @@ TEST_P(Paging, SwappedPageReloadsWithData)
     EXPECT_NO_THROW(m.access(2, RefType::Read, va, 50000));
     EXPECT_EQ(m.pageTable().pageReloads.value(), 1u);
     EXPECT_TRUE(m.pageTable().find(vpn)->resident);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
     checkInclusion(m);
 }
 
@@ -87,7 +88,7 @@ TEST_P(Paging, PurgeShootsDownTranslations)
             EXPECT_FALSE(m.node(n).dlb->tlb().contains(vpn));
         }
     }
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 
+#include "check/invariant_checker.hh"
 #include "checkers.hh"
 #include "common/rng.hh"
 #include "sim/machine.hh"
@@ -41,8 +42,10 @@ stateAt(Machine &m, NodeId n, VAddr va)
     const PageInfo *page = m.pageTable().find(m.layout().vpn(va));
     if (!page)
         return AmState::Invalid;
-    return m.node(n).am.state(
-        testAmKey(m, *page, m.layout().blockAlign(va)));
+    const VAddr blockVa = m.layout().blockAlign(va);
+    return m.node(n).am.state(m.traits().amVirtual
+                                  ? blockVa
+                                  : m.pageTable().translate(blockVa));
 }
 
 } // namespace
@@ -63,7 +66,7 @@ TEST_P(ProtocolScheme, PreloadPlacesPageAtHome)
     DirectoryEntry &e = entryFor(m, 0x40000 + 512);
     EXPECT_EQ(e.owner, page->home);
     EXPECT_FALSE(e.exclusive);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
 }
 
 TEST_P(ProtocolScheme, ReadMigratesASharedCopy)
@@ -80,7 +83,7 @@ TEST_P(ProtocolScheme, ReadMigratesASharedCopy)
     }
     DirectoryEntry &e = entryFor(m, va);
     EXPECT_TRUE(e.holds(0));
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
     checkInclusion(m);
 }
 
@@ -102,7 +105,7 @@ TEST_P(ProtocolScheme, WriteTakesExclusiveAndInvalidates)
     EXPECT_EQ(e.owner, 3u);
     EXPECT_TRUE(e.exclusive);
     EXPECT_EQ(e.copies(), 1u);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
     checkInclusion(m);
 }
 
@@ -118,7 +121,7 @@ TEST_P(ProtocolScheme, UpgradeFromSharedKeepsData)
     // It was an upgrade, not a data-carrying read-exclusive...
     EXPECT_EQ(m.engine().remoteWrites.value(), remoteWritesBefore);
     EXPECT_GE(m.engine().upgrades.value(), 1u);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
 }
 
 TEST_P(ProtocolScheme, SecondWriteIsSilent)
@@ -132,7 +135,7 @@ TEST_P(ProtocolScheme, SecondWriteIsSilent)
     EXPECT_EQ(m.engine().upgrades.value(), upgradesBefore);
     EXPECT_EQ(m.engine().remoteWrites.value(), writesBefore);
     EXPECT_EQ(r.remote, 0u);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
 }
 
 TEST_P(ProtocolScheme, ReadAfterWriteDowngradesToMasterShared)
@@ -146,7 +149,7 @@ TEST_P(ProtocolScheme, ReadAfterWriteDowngradesToMasterShared)
     DirectoryEntry &e = entryFor(m, va);
     EXPECT_EQ(e.owner, 2u);
     EXPECT_FALSE(e.exclusive);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
 }
 
 TEST_P(ProtocolScheme, RemoteLatencyExceedsLocal)
@@ -199,7 +202,7 @@ TEST_P(ProtocolScheme, VersionsAdvanceWithWrites)
     DirectoryEntry &e = entryFor(m, va);
     EXPECT_EQ(e.version, 3u);
     m.access(3, RefType::Read, va, 9000);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
 }
 
 TEST_P(ProtocolScheme, DistinctBlocksIndependent)
@@ -211,7 +214,7 @@ TEST_P(ProtocolScheme, DistinctBlocksIndependent)
     m.access(1, RefType::Write, b, 1000);
     EXPECT_EQ(stateAt(m, 0, a), AmState::Exclusive);
     EXPECT_EQ(stateAt(m, 1, b), AmState::Exclusive);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
 }
 
 TEST_P(ProtocolScheme, ProtectionFaultOnForbiddenAccess)
@@ -251,13 +254,13 @@ TEST_P(ProtocolScheme, InjectionPreservesOwnedBlocks)
         t += 10000;
     }
     EXPECT_GT(m.engine().injections.value(), 0u);
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
     // Every block still readable with its last version.
     for (VAddr va : blocks) {
         EXPECT_NO_THROW(m.access(1, RefType::Read, va, t));
         t += 10000;
     }
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
     checkInclusion(m);
 }
 
@@ -276,7 +279,7 @@ TEST_P(ProtocolScheme, FuzzManyCpusSmallRegion)
         m.access(cpu, type, va, t);
         t += rng.below(200);
     }
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
     checkInclusion(m);
 }
 
@@ -298,7 +301,7 @@ TEST_P(ProtocolScheme, FuzzConflictPressure)
         m.access(cpu, type, va, t);
         t += rng.below(500);
     }
-    checkCoherenceInvariants(m);
+    EXPECT_NO_THROW(InvariantChecker(m).enforce());
     checkInclusion(m);
 }
 

@@ -316,7 +316,7 @@ TEST(RunnerReplay, ReplayedRunWritesByteIdenticalCacheEntries)
         EXPECT_EQ(runner.executed(), 1u) << "fresh cache must simulate";
     }
     const std::filesystem::path entry =
-        std::filesystem::path(cfg.key() + ".txt");
+        std::filesystem::path(cfg.key() + ".json");
     const auto readAll = [](const std::filesystem::path &p) {
         std::ifstream in(p, std::ios::binary);
         return std::string(std::istreambuf_iterator<char>(in),

@@ -8,8 +8,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 
 #include "harness/experiments.hh"
 #include "harness/runner.hh"
+#include "sim/run_stats_json.hh"
 #include "translation/scheme.hh"
 
 using namespace vcoma;
@@ -136,6 +139,56 @@ struct EnvGuard
     bool wasSet_ = true;
 };
 
+std::string
+slurp(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/** The sheet bytes of @p stats (what a cache entry stores). */
+std::string
+sheetOf(const RunStats &stats)
+{
+    std::ostringstream os;
+    writeRunStatsJson(os, stats);
+    return os.str();
+}
+
+/**
+ * Cache tinyExperiment(), pass its entry through @p edit, and rerun it
+ * with a fresh Runner: returns how many simulations the rerun needed
+ * (0 when the edited entry was served, 1 when it was rejected).
+ */
+unsigned
+executionsAfterEdit(const std::function<std::string(std::string)> &edit)
+{
+    TempDir dir;
+    {
+        Runner first(dir.path.string());
+        first.run(tinyExperiment());
+    }
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir.path)) {
+        const std::string edited = edit(slurp(entry.path()));
+        std::ofstream(entry.path(), std::ios::binary) << edited;
+    }
+    Runner second(dir.path.string());
+    second.run(tinyExperiment());
+    return second.executed();
+}
+
+/** @p text with the first match of @p pattern replaced by @p with. */
+std::string
+replaceFirst(const std::string &text, const std::string &pattern,
+             const std::string &with)
+{
+    return std::regex_replace(text, std::regex(pattern), with,
+                              std::regex_constants::format_first_only);
+}
+
 } // namespace
 
 TEST(ExperimentConfig, KeyEncodesEveryField)
@@ -170,138 +223,133 @@ TEST(Runner, MemoisesWithinProcess)
 
 TEST(Runner, DiskCacheRoundTripsAllFields)
 {
+    // A warm sheet must be byte-identical to the cold one under every
+    // registered scheme. VICTIMA also exercises the conditional
+    // tlbSpill key, which only spill-producing schemes write.
+    std::vector<ExperimentConfig> cfgs;
+    for (Scheme s : allRegisteredSchemes()) {
+        ExperimentConfig cfg = tinyExperiment();
+        cfg.scheme = s;
+        cfgs.push_back(cfg);
+    }
     TempDir dir;
-    RunStats first;
+    std::vector<std::string> cold;
     {
         Runner runner(dir.path.string());
-        first = runner.run(tinyExperiment());
-        EXPECT_EQ(runner.executed(), 1u);
-    }
-    {
-        Runner runner(dir.path.string());
-        const RunStats &again = runner.run(tinyExperiment());
-        EXPECT_EQ(runner.executed(), 0u) << "must come from disk";
-        EXPECT_EQ(again.workload, first.workload);
-        EXPECT_EQ(again.parameters, first.parameters);
-        EXPECT_EQ(again.scheme, first.scheme);
-        EXPECT_EQ(again.numNodes, first.numNodes);
-        EXPECT_EQ(again.execTime, first.execTime);
-        EXPECT_EQ(again.totalRefs(), first.totalRefs());
-        EXPECT_EQ(again.totalSync(), first.totalSync());
-        ASSERT_EQ(again.shadow.size(), first.shadow.size());
-        for (std::size_t i = 0; i < first.shadow.size(); ++i) {
-            EXPECT_EQ(again.shadow[i].demandMisses,
-                      first.shadow[i].demandMisses);
-            EXPECT_EQ(again.shadow[i].writebackMisses,
-                      first.shadow[i].writebackMisses);
+        for (const RunStats *stats : runner.runAll(cfgs)) {
+            ASSERT_NE(stats, nullptr);
+            cold.push_back(sheetOf(*stats));
         }
-        EXPECT_EQ(again.tlbMisses, first.tlbMisses);
-        EXPECT_EQ(again.pressureProfile, first.pressureProfile);
-        EXPECT_EQ(again.remoteReads, first.remoteReads);
-        EXPECT_EQ(again.blockMessages, first.blockMessages);
-        EXPECT_EQ(again.amMisses, first.amMisses);
+        EXPECT_EQ(runner.executed(), cfgs.size());
     }
+    Runner runner(dir.path.string());
+    const std::vector<const RunStats *> warm = runner.runAll(cfgs);
+    EXPECT_EQ(runner.executed(), 0u) << "must come from disk";
+    bool sawSpill = false;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        SCOPED_TRACE(schemeName(cfgs[i].scheme));
+        ASSERT_NE(warm[i], nullptr);
+        EXPECT_EQ(sheetOf(*warm[i]), cold[i]);
+        EXPECT_EQ(slurp(dir.path / (cfgs[i].key() + ".json")),
+                  "vcoma-cache-v5\n" + cold[i] + "\n");
+        sawSpill |= cold[i].find("\"tlbSpill\"") != std::string::npos;
+    }
+    EXPECT_TRUE(sawSpill) << "no scheme wrote the tlbSpill key";
 }
 
 TEST(Runner, CorruptCacheFileIsIgnored)
 {
-    TempDir dir;
-    Runner first(dir.path.string());
-    first.run(tinyExperiment());
-    // Corrupt every cache file.
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir.path)) {
-        std::ofstream out(entry.path());
-        out << "garbage\n";
-    }
-    Runner second(dir.path.string());
-    second.run(tinyExperiment());
-    EXPECT_EQ(second.executed(), 1u);
+    EXPECT_EQ(executionsAfterEdit(
+                  [](const std::string &) { return "garbage\n"; }),
+              1u);
 }
 
 TEST(Runner, WrongMagicCacheFileIsRejected)
 {
-    TempDir dir;
-    Runner first(dir.path.string());
-    first.run(tinyExperiment());
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir.path)) {
-        std::ofstream out(entry.path());
-        out << "vcoma-cache-v2\nworkload UNIFORM\nend\n";
-    }
-    Runner second(dir.path.string());
-    second.run(tinyExperiment());
-    EXPECT_EQ(second.executed(), 1u) << "old-format file must re-run";
+    // The sheet itself is intact; only the magic line is not v5.
+    EXPECT_EQ(executionsAfterEdit([](const std::string &entry) {
+                  return replaceFirst(entry, "^vcoma-cache-v5",
+                                      "vcoma-cache-v2");
+              }),
+              1u)
+        << "old-format file must re-run";
 }
 
 TEST(Runner, TruncatedCacheFileIsRejected)
 {
-    TempDir dir;
-    Runner first(dir.path.string());
-    first.run(tinyExperiment());
-    // Drop everything from the "end" marker on: a writer that died
-    // mid-write (or a torn copy) must not be served.
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir.path)) {
-        std::ifstream in(entry.path());
-        std::ostringstream kept;
-        std::string line;
-        while (std::getline(in, line) && line != "end")
-            kept << line << "\n";
-        in.close();
-        std::ofstream out(entry.path());
-        out << kept.str();
+    // A writer that died mid-write (or a torn copy) must not be
+    // served, wherever the cut falls.
+    const std::vector<std::function<std::size_t(std::size_t)>> cuts{
+        [](std::size_t n) { return n - 1; },  // the final newline
+        [](std::size_t n) { return n - 2; },  // the sheet's last '}'
+        [](std::size_t n) { return n / 2; },
+        [](std::size_t) { return std::size_t{15}; },  // magic line only
+    };
+    for (std::size_t c = 0; c < cuts.size(); ++c) {
+        EXPECT_EQ(executionsAfterEdit([&](std::string entry) {
+                      entry.resize(cuts[c](entry.size()));
+                      return entry;
+                  }),
+                  1u)
+            << "truncated file (cut " << c << ") must re-run";
     }
-    Runner second(dir.path.string());
-    second.run(tinyExperiment());
-    EXPECT_EQ(second.executed(), 1u) << "truncated file must re-run";
 }
 
 TEST(Runner, MalformedNumberInCacheFileIsRejected)
 {
-    // A numeric field that does not parse must reject the entry, not
-    // load as zero: append junk to one field of the first line with
-    // the given tag — mid-line on a shadow line ("shadow 8 0 12x ..."),
-    // the last field on a cpu line.
-    const std::vector<std::pair<std::string, std::size_t>> cases{
-        {"shadow", 3},
-        {"cpu", 9},
+    // Every edit below leaves well-formed-looking text that the sheet
+    // writer would never produce; each must reject the entry, never
+    // load a zeroed or inconsistent field.
+    const auto offByOneRefs = [](const std::string &entry) {
+        std::smatch m;
+        const std::regex refs("\"totals\":\\{\"refs\":(\\d+)");
+        EXPECT_TRUE(std::regex_search(entry, m, refs));
+        return replaceFirst(
+            entry, "\"totals\":\\{\"refs\":\\d+",
+            "\"totals\":{\"refs\":" +
+                std::to_string(std::stoull(m[1].str()) + 1));
     };
-    for (const auto &[tag, field] : cases) {
-        TempDir dir;
-        Runner first(dir.path.string());
-        first.run(tinyExperiment());
-        for (const auto &entry :
-             std::filesystem::directory_iterator(dir.path)) {
-            std::ifstream in(entry.path());
-            std::ostringstream kept;
-            std::string line;
-            bool mangled = false;
-            while (std::getline(in, line)) {
-                std::istringstream ls(line);
-                std::vector<std::string> tokens;
-                for (std::string t; ls >> t;)
-                    tokens.push_back(t);
-                if (!mangled && tokens.size() > field &&
-                    tokens[0] == tag) {
-                    tokens[field] += "x";
-                    line.clear();
-                    for (const auto &t : tokens)
-                        line += (line.empty() ? "" : " ") + t;
-                    mangled = true;
-                }
-                kept << line << "\n";
-            }
-            in.close();
-            ASSERT_TRUE(mangled) << "no " << tag << " line";
-            std::ofstream out(entry.path());
-            out << kept.str();
-        }
-        Runner second(dir.path.string());
-        second.run(tinyExperiment());
-        EXPECT_EQ(second.executed(), 1u)
-            << "malformed " << tag << " line must re-run";
+    const std::vector<
+        std::pair<const char *, std::function<std::string(std::string)>>>
+        cases{
+            // "12x": junk after a mid-object shadow field and after
+            // the last field of a cpu object.
+            {"shadow 12x",
+             [](const std::string &e) {
+                 return replaceFirst(e, "(\"demandAccesses\":\\d+)",
+                                     "$1x");
+             }},
+            {"cpu 12x",
+             [](const std::string &e) {
+                 return replaceFirst(e, "(\"accounted\":\\d+)", "$1x");
+             }},
+            // A derived total that disagrees with the per-CPU counts.
+            {"totals.refs off by one", offByOneRefs},
+            // Same keys and values, other order.
+            {"swapped keys",
+             [](const std::string &e) {
+                 return replaceFirst(
+                     e, "\"tlb\":\\{(\"accesses\":\\d+),(\"misses\":\\d+)",
+                     "\"tlb\":{$2,$1");
+             }},
+            {"extra key",
+             [](const std::string &e) {
+                 return replaceFirst(e, "\\{\"schema\":1,",
+                                     "{\"schema\":1,\"extra\":0,");
+             }},
+        };
+    for (const auto &[what, edit] : cases) {
+        // Each edit must actually change the entry.
+        EXPECT_EQ(executionsAfterEdit([&](const std::string &e) {
+                      const std::string out = edit(e);
+                      EXPECT_NE(out, e) << what << " changed nothing";
+                      return out;
+                  }),
+                  1u)
+            << what << " must re-run";
     }
+    // The harness itself serves an unedited entry.
+    EXPECT_EQ(executionsAfterEdit([](std::string e) { return e; }), 0u);
 }
 
 TEST(Runner, StoreLeavesNoTempFiles)
@@ -313,7 +361,7 @@ TEST(Runner, StoreLeavesNoTempFiles)
     for (const auto &entry :
          std::filesystem::directory_iterator(dir.path)) {
         ++files;
-        EXPECT_EQ(entry.path().extension(), ".txt")
+        EXPECT_EQ(entry.path().extension(), ".json")
             << entry.path() << " looks like an orphaned temp file";
     }
     EXPECT_EQ(files, 1u);
@@ -614,27 +662,27 @@ TEST(Runner, PruneCacheKeepsNewestEntriesWithinBudget)
     TempDir tmp;
     std::filesystem::create_directories(tmp.path);
     // Four 1000-byte entries, oldest first.
-    plantCacheFile(tmp.path / "a.txt", 1000, 4);
-    plantCacheFile(tmp.path / "b.txt", 1000, 3);
-    plantCacheFile(tmp.path / "c.txt", 1000, 2);
-    plantCacheFile(tmp.path / "d.txt", 1000, 1);
+    plantCacheFile(tmp.path / "a.json", 1000, 4);
+    plantCacheFile(tmp.path / "b.json", 1000, 3);
+    plantCacheFile(tmp.path / "c.json", 1000, 2);
+    plantCacheFile(tmp.path / "d.json", 1000, 1);
 
     EXPECT_EQ(Runner::pruneCache(tmp.path.string(), 2000), 2u);
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "a.txt"));
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "b.txt"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "c.txt"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "d.txt"));
+    EXPECT_FALSE(std::filesystem::exists(tmp.path / "a.json"));
+    EXPECT_FALSE(std::filesystem::exists(tmp.path / "b.json"));
+    EXPECT_TRUE(std::filesystem::exists(tmp.path / "c.json"));
+    EXPECT_TRUE(std::filesystem::exists(tmp.path / "d.json"));
 }
 
 TEST(Runner, PruneCacheIsANoopUnderBudget)
 {
     TempDir tmp;
     std::filesystem::create_directories(tmp.path);
-    plantCacheFile(tmp.path / "a.txt", 100, 2);
-    plantCacheFile(tmp.path / "b.txt", 100, 1);
+    plantCacheFile(tmp.path / "a.json", 100, 2);
+    plantCacheFile(tmp.path / "b.json", 100, 1);
     EXPECT_EQ(Runner::pruneCache(tmp.path.string(), 200), 0u);
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "a.txt"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "b.txt"));
+    EXPECT_TRUE(std::filesystem::exists(tmp.path / "a.json"));
+    EXPECT_TRUE(std::filesystem::exists(tmp.path / "b.json"));
     // A missing directory is quietly nothing to prune.
     EXPECT_EQ(Runner::pruneCache((tmp.path / "absent").string(), 1),
               0u);
@@ -644,20 +692,20 @@ TEST(Runner, PruneCacheNeverTouchesForeignFiles)
 {
     TempDir tmp;
     std::filesystem::create_directories(tmp.path / "subdir");
-    plantCacheFile(tmp.path / "old.txt", 5000, 2);
+    plantCacheFile(tmp.path / "old.json", 5000, 2);
     // Not cache entries: wrong extension, a staging temp (its
-    // extension is the pid suffix, not .txt), and a nested file.
+    // extension is the pid suffix, not .json), and a nested file.
     plantCacheFile(tmp.path / "README.md", 100, 3);
-    plantCacheFile(tmp.path / "entry.txt.tmp.1234", 100, 3);
-    plantCacheFile(tmp.path / "subdir" / "nested.txt", 100, 3);
+    plantCacheFile(tmp.path / "entry.json.tmp.1234", 100, 3);
+    plantCacheFile(tmp.path / "subdir" / "nested.json", 100, 3);
 
     EXPECT_EQ(Runner::pruneCache(tmp.path.string(), 1), 1u);
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "old.txt"));
+    EXPECT_FALSE(std::filesystem::exists(tmp.path / "old.json"));
     EXPECT_TRUE(std::filesystem::exists(tmp.path / "README.md"));
     EXPECT_TRUE(
-        std::filesystem::exists(tmp.path / "entry.txt.tmp.1234"));
+        std::filesystem::exists(tmp.path / "entry.json.tmp.1234"));
     EXPECT_TRUE(
-        std::filesystem::exists(tmp.path / "subdir" / "nested.txt"));
+        std::filesystem::exists(tmp.path / "subdir" / "nested.json"));
 }
 
 TEST(Runner, PruneCacheBreaksEqualMtimesByName)
@@ -674,16 +722,16 @@ TEST(Runner, PruneCacheBreaksEqualMtimesByName)
     // microseconds and dodge the tie).
     const auto stamp = std::filesystem::file_time_type::clock::now() -
                        std::chrono::hours(1);
-    for (const char *name : {"c.txt", "a.txt", "d.txt", "b.txt"}) {
+    for (const char *name : {"c.json", "a.json", "d.json", "b.json"}) {
         plantCacheFile(tmp.path / name, 1000, 1);
         std::filesystem::last_write_time(tmp.path / name, stamp);
     }
 
     EXPECT_EQ(Runner::pruneCache(tmp.path.string(), 2000), 2u);
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "a.txt"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "b.txt"));
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "c.txt"));
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "d.txt"));
+    EXPECT_TRUE(std::filesystem::exists(tmp.path / "a.json"));
+    EXPECT_TRUE(std::filesystem::exists(tmp.path / "b.json"));
+    EXPECT_FALSE(std::filesystem::exists(tmp.path / "c.json"));
+    EXPECT_FALSE(std::filesystem::exists(tmp.path / "d.json"));
 }
 
 TEST(Runner, PruneCacheMtimeStillBeatsName)
@@ -692,11 +740,11 @@ TEST(Runner, PruneCacheMtimeStillBeatsName)
     // pruned first however late its name sorts.
     TempDir tmp;
     std::filesystem::create_directories(tmp.path);
-    plantCacheFile(tmp.path / "z_old.txt", 1000, 5);
-    plantCacheFile(tmp.path / "a_new.txt", 1000, 1);
+    plantCacheFile(tmp.path / "z_old.json", 1000, 5);
+    plantCacheFile(tmp.path / "a_new.json", 1000, 1);
     EXPECT_EQ(Runner::pruneCache(tmp.path.string(), 1000), 1u);
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "z_old.txt"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "a_new.txt"));
+    EXPECT_FALSE(std::filesystem::exists(tmp.path / "z_old.json"));
+    EXPECT_TRUE(std::filesystem::exists(tmp.path / "a_new.json"));
 }
 
 TEST(Runner, PruneTracesOnlyTouchesTraceFiles)
@@ -707,13 +755,13 @@ TEST(Runner, PruneTracesOnlyTouchesTraceFiles)
     std::filesystem::create_directories(tmp.path);
     plantCacheFile(tmp.path / "old.vctrace", 5000, 3);
     plantCacheFile(tmp.path / "new.vctrace", 5000, 1);
-    plantCacheFile(tmp.path / "entry.txt", 100, 9);
+    plantCacheFile(tmp.path / "entry.json", 100, 9);
     plantCacheFile(tmp.path / "trace.vctrace.tmp.1234", 100, 9);
 
     EXPECT_EQ(Runner::pruneTraces(tmp.path.string(), 5000), 1u);
     EXPECT_FALSE(std::filesystem::exists(tmp.path / "old.vctrace"));
     EXPECT_TRUE(std::filesystem::exists(tmp.path / "new.vctrace"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "entry.txt"));
+    EXPECT_TRUE(std::filesystem::exists(tmp.path / "entry.json"));
     EXPECT_TRUE(std::filesystem::exists(
         tmp.path / "trace.vctrace.tmp.1234"));
 }
@@ -783,32 +831,36 @@ TEST(Runner, ConstructionPrunesAnOversizedCache)
     std::filesystem::create_directories(tmp.path);
     // Two entries totalling ~1.4 MiB against a 1 MB budget: the
     // Runner's constructor must evict the older one.
-    plantCacheFile(tmp.path / "old.txt", 700 * 1024, 2);
-    plantCacheFile(tmp.path / "new.txt", 700 * 1024, 1);
+    plantCacheFile(tmp.path / "old.json", 700 * 1024, 2);
+    plantCacheFile(tmp.path / "new.json", 700 * 1024, 1);
 
     EnvGuard env("VCOMA_CACHE_MAX_MB", "1");
     Runner runner(tmp.path.string());
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "old.txt"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "new.txt"));
+    EXPECT_FALSE(std::filesystem::exists(tmp.path / "old.json"));
+    EXPECT_TRUE(std::filesystem::exists(tmp.path / "new.json"));
 }
 
 TEST(Runner, StaleV3CacheFileIsRejected)
 {
     // v3 entries were produced before the Rng::below() modulo-bias
-    // fix, so their sheets no longer match what a fresh run computes.
-    // The v4 magic bump must force a re-run instead of quietly mixing
-    // pre-fix and post-fix results in one sweep.
-    TempDir dir;
-    Runner first(dir.path.string());
-    first.run(tinyExperiment());
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir.path)) {
-        std::ofstream out(entry.path());
-        out << "vcoma-cache-v3\nworkload UNIFORM\nend\n";
+    // fix, so their sheets no longer match what a fresh run computes;
+    // v4 entries used the retired text codec. Both must force a
+    // re-run instead of being half-read as a sheet.
+    const std::vector<std::string> stale{
+        "vcoma-cache-v3\nworkload UNIFORM\nend\n",
+        "vcoma-cache-v4\nworkload UNIFORM\nparameters -\nscheme 4\n"
+        "numNodes 32\nsharedBytes 4096\nexecTime 100\n"
+        "tlb 0 0 0 0\npressure\ncaches 0 0 0 0 0 0\n"
+        "protocol 0 0 0 0 0 0 0 0 0 0\nnetwork 0 0\ndlb 0 0 0\n"
+        "dlbreq 0 0 0 0\nlat read 0 0 0 0\nlat write 0 0 0 0\n"
+        "lat dlbfill 0 0 0 0\nend\n",
+    };
+    for (const std::string &entry : stale) {
+        EXPECT_EQ(executionsAfterEdit(
+                      [&](const std::string &) { return entry; }),
+                  1u)
+            << entry.substr(0, 14) << " file must re-run";
     }
-    Runner second(dir.path.string());
-    second.run(tinyExperiment());
-    EXPECT_EQ(second.executed(), 1u) << "pre-RNG-fix file must re-run";
 }
 
 TEST(ExperimentConfig, KeySanitizesHostileWorkloadSpellings)
@@ -835,98 +887,4 @@ TEST(ExperimentConfig, KeySanitizesHostileWorkloadSpellings)
     // (no hash suffix), so existing caches stay warm.
     ExperimentConfig plain = tinyExperiment();
     EXPECT_EQ(plain.key().rfind("UNIFORM-", 0), 0u) << plain.key();
-}
-
-TEST(Runner, EnvCacheTenantValidatesTheName)
-{
-    {
-        EnvGuard env("VCOMA_CACHE_TENANT", nullptr);
-        EXPECT_EQ(Runner::envCacheTenant(), "");
-    }
-    {
-        EnvGuard env("VCOMA_CACHE_TENANT", "team-a.prod_2");
-        EXPECT_EQ(Runner::envCacheTenant(), "team-a.prod_2");
-    }
-    // Anything that could escape the cache root is refused outright.
-    for (const char *bad : {"..", ".", "a/b", "../up", "x y", "a:b"}) {
-        EnvGuard env("VCOMA_CACHE_TENANT", bad);
-        EXPECT_EQ(Runner::envCacheTenant(), "") << bad;
-    }
-}
-
-TEST(Runner, CacheTenantNamespacesEntries)
-{
-    TempDir dir;
-    {
-        EnvGuard env("VCOMA_CACHE_TENANT", "alice");
-        Runner runner(dir.path.string());
-        runner.run(tinyExperiment());
-    }
-    // The entry landed under alice/, not in the shared root.
-    unsigned rootEntries = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir.path)) {
-        if (entry.is_regular_file())
-            ++rootEntries;
-    }
-    EXPECT_EQ(rootEntries, 0u);
-    ASSERT_TRUE(std::filesystem::is_directory(dir.path / "alice"));
-
-    {   // Same tenant: warm.
-        EnvGuard env("VCOMA_CACHE_TENANT", "alice");
-        Runner again(dir.path.string());
-        again.run(tinyExperiment());
-        EXPECT_EQ(again.executed(), 0u);
-    }
-    {   // Different tenant: isolated, must re-run.
-        EnvGuard env("VCOMA_CACHE_TENANT", "bob");
-        Runner stranger(dir.path.string());
-        stranger.run(tinyExperiment());
-        EXPECT_EQ(stranger.executed(), 1u);
-    }
-    {   // No tenant: the shared root is separate again.
-        EnvGuard env("VCOMA_CACHE_TENANT", nullptr);
-        Runner shared(dir.path.string());
-        shared.run(tinyExperiment());
-        EXPECT_EQ(shared.executed(), 1u);
-    }
-}
-
-TEST(Runner, TenantBudgetPrunesOnlyTheTenantDir)
-{
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path / "alice");
-    // Oversized tenant dir next to fresh shared-root entries.
-    plantCacheFile(tmp.path / "alice" / "old.txt", 700 * 1024, 2);
-    plantCacheFile(tmp.path / "alice" / "new.txt", 700 * 1024, 1);
-    plantCacheFile(tmp.path / "shared.txt", 700 * 1024, 9);
-
-    EnvGuard tenant("VCOMA_CACHE_TENANT", "alice");
-    EnvGuard budget("VCOMA_CACHE_TENANT_MAX_MB", "1");
-    EnvGuard global("VCOMA_CACHE_MAX_MB", nullptr);
-    Runner runner(tmp.path.string());
-    EXPECT_FALSE(
-        std::filesystem::exists(tmp.path / "alice" / "old.txt"));
-    EXPECT_TRUE(
-        std::filesystem::exists(tmp.path / "alice" / "new.txt"));
-    // Another tenant's (or the shared root's) files are untouchable,
-    // however old they are.
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "shared.txt"));
-}
-
-TEST(Runner, TenantBudgetFallsBackToTheGlobalBudget)
-{
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path / "alice");
-    plantCacheFile(tmp.path / "alice" / "old.txt", 700 * 1024, 2);
-    plantCacheFile(tmp.path / "alice" / "new.txt", 700 * 1024, 1);
-
-    EnvGuard tenant("VCOMA_CACHE_TENANT", "alice");
-    EnvGuard budget("VCOMA_CACHE_TENANT_MAX_MB", nullptr);
-    EnvGuard global("VCOMA_CACHE_MAX_MB", "1");
-    Runner runner(tmp.path.string());
-    EXPECT_FALSE(
-        std::filesystem::exists(tmp.path / "alice" / "old.txt"));
-    EXPECT_TRUE(
-        std::filesystem::exists(tmp.path / "alice" / "new.txt"));
 }

@@ -15,11 +15,13 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <unistd.h>
 
 #include "common/json.hh"
+#include "common/rng.hh"
 #include "sim/event_trace.hh"
 #include "sim/machine.hh"
 #include "sim/run_stats_json.hh"
@@ -204,6 +206,48 @@ TEST(StatsJson, NonFiniteNumbersSerialiseAsNull)
     EXPECT_TRUE(profile.at(1).isNull());
     EXPECT_TRUE(profile.at(2).isNull());
     EXPECT_TRUE(profile.at(3).isNull());
+    // The reader takes null back (as NaN), so such a sheet still
+    // round-trips through the result cache.
+    EXPECT_TRUE(readRunStatsJson(line).has_value());
+}
+
+TEST(StatsJson, ReaderFailsClosedUnderMutation)
+{
+    // Seeded mutations of a real sheet: byte flips, deletions,
+    // insertions and truncations. The reader must never throw or
+    // crash, and whatever it accepts must re-serialise to exactly the
+    // text it was given.
+    std::ostringstream os;
+    writeRunStatsJson(os, runTinyVcoma());
+    const std::string sheet = os.str();
+    ASSERT_TRUE(readRunStatsJson(sheet).has_value());
+
+    Rng rng(16);
+    for (int i = 0; i < 2000; ++i) {
+        std::string text = sheet;
+        const std::size_t at = rng.below(text.size());
+        switch (rng.below(4)) {
+          case 0:
+            text[at] = static_cast<char>(text[at] ^ (1 << rng.below(8)));
+            break;
+          case 1:
+            text.erase(at, 1 + rng.below(8));
+            break;
+          case 2:
+            text.insert(at, 1, static_cast<char>(rng.below(256)));
+            break;
+          default:
+            text.resize(at);
+            break;
+        }
+        std::optional<RunStats> got;
+        ASSERT_NO_THROW(got = readRunStatsJson(text)) << text;
+        if (!got)
+            continue;
+        std::ostringstream again;
+        writeRunStatsJson(again, *got);
+        EXPECT_EQ(again.str(), text);
+    }
 }
 
 TEST(StatsJson, ExportIsGatedOnEnvVar)

@@ -51,15 +51,15 @@ TEST(Trace, RoundTripPreservesPerThreadStreams)
         auto gen = w2->thread(t);
         std::size_t i = 0;
         while (auto ref = gen.next()) {
-            ASSERT_LT(i, replay.events(t).size()) << "thread " << t;
-            const MemRef &got = replay.events(t)[i++];
+            ASSERT_LT(i, replay.stream(t).size()) << "thread " << t;
+            const MemRef &got = replay.stream(t)[i++];
             EXPECT_EQ(got.kind, ref->kind);
             EXPECT_EQ(got.vaddr, ref->vaddr);
             EXPECT_EQ(got.type, ref->type);
             EXPECT_EQ(got.work, ref->work);
             EXPECT_EQ(got.syncId, ref->syncId);
         }
-        EXPECT_EQ(i, replay.events(t).size());
+        EXPECT_EQ(i, replay.stream(t).size());
     }
 }
 
@@ -96,7 +96,7 @@ TEST(Trace, SyntheticSegmentCoversAddresses)
     ASSERT_FALSE(replay.space().segments().empty());
     const Segment &seg = replay.space().segments().front();
     for (unsigned t = 0; t < replay.numThreads(); ++t) {
-        for (const MemRef &ref : replay.events(t)) {
+        for (const MemRef &ref : replay.stream(t)) {
             if (ref.kind != MemRef::Kind::Mem)
                 continue;
             EXPECT_GE(ref.vaddr, seg.base);
@@ -107,22 +107,32 @@ TEST(Trace, SyntheticSegmentCoversAddresses)
 
 TEST(Trace, RejectsMalformedInput)
 {
-    {
-        std::istringstream is("not-a-trace\n");
-        EXPECT_THROW(TraceWorkload{is}, FatalError);
+    for (const char *text : {
+             "not-a-trace\n",
+             "vcoma-trace-v1\nthreads 0\n",
+             "vcoma-trace-v1\nthreads 2\n5 R 100 1\n",
+             "vcoma-trace-v1\nthreads 2\n0 X 1\n",
+             // Negative and out-of-range numbers must be rejected,
+             // never wrapped or clamped to some other value.
+             "vcoma-trace-v1\nthreads 2\n0 R -4096 -3\n",
+             "vcoma-trace-v1\nthreads 2\n0 R 4096 -3\n",
+             "vcoma-trace-v1\nthreads 2\n0 L -1\n",
+             "vcoma-trace-v1\nthreads 2\n-1 R 100 1\n",
+             "vcoma-trace-v1\nthreads 2\n0 R 0x-1000 1\n",
+             "vcoma-trace-v1\nthreads 2\n0 R 0x1FFFFFFFFFFFFFFFF 1\n",
+             "vcoma-trace-v1\nthreads 2\n0 R 100 4294967296\n",
+             "vcoma-trace-v1\nthreads 2\n0 B 4294967296\n",
+             // An 8-byte access here would wrap past 2^64.
+             "vcoma-trace-v1\nthreads 2\n0 R 18446744073709551612 1\n",
+         }) {
+        std::istringstream is(text);
+        EXPECT_THROW(TraceWorkload{is}, FatalError) << text;
     }
-    {
-        std::istringstream is("vcoma-trace-v1\nthreads 0\n");
-        EXPECT_THROW(TraceWorkload{is}, FatalError);
-    }
-    {
-        std::istringstream is("vcoma-trace-v1\nthreads 2\n5 R 100 1\n");
-        EXPECT_THROW(TraceWorkload{is}, FatalError);
-    }
-    {
-        std::istringstream is("vcoma-trace-v1\nthreads 2\n0 X 1\n");
-        EXPECT_THROW(TraceWorkload{is}, FatalError);
-    }
+    // The highest address that still fits an 8-byte access is fine.
+    std::istringstream is(
+        "vcoma-trace-v1\nthreads 1\n0 R 18446744073709551607 1\n");
+    TraceWorkload w{is};
+    EXPECT_EQ(w.sharedBytes(), 8u);
 }
 
 TEST(Trace, DiagnosticsCarryLineNumbersAndDetail)
@@ -192,8 +202,8 @@ TEST(Trace, DiagnosticsCarryLineNumbersAndDetail)
         std::istringstream is(
             "vcoma-trace-v1\nthreads 2\n\n0 R 100 1\n\n1 R 108 1\n");
         TraceWorkload w{is};
-        EXPECT_EQ(w.events(0).size(), 1u);
-        EXPECT_EQ(w.events(1).size(), 1u);
+        EXPECT_EQ(w.stream(0).size(), 1u);
+        EXPECT_EQ(w.stream(1).size(), 1u);
     }
 }
 
@@ -207,7 +217,7 @@ TEST(Trace, LocksAndBarriersSurvive)
     unsigned locks = 0;
     unsigned barriers = 0;
     for (unsigned t = 0; t < replay.numThreads(); ++t) {
-        for (const MemRef &ref : replay.events(t)) {
+        for (const MemRef &ref : replay.stream(t)) {
             if (ref.kind == MemRef::Kind::LockAcquire)
                 ++locks;
             if (ref.kind == MemRef::Kind::Barrier)
