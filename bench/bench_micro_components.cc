@@ -88,6 +88,29 @@ BM_ShadowBankAccess(benchmark::State &state)
 BENCHMARK(BM_ShadowBankAccess);
 
 /**
+ * The same bank on a stream where each vpn repeats 1 to 8 times in a
+ * row, as consecutive references to one page do: repeats take the
+ * bank's repeat fast path.
+ */
+void
+BM_ShadowBankRepeat(benchmark::State &state)
+{
+    ShadowBank bank(3);
+    Rng rng(4);
+    std::vector<PageNum> vpns;
+    while (vpns.size() < 4096) {
+        const PageNum vpn = rng.below(2048);
+        for (auto n = rng.below(8) + 1; n > 0 && vpns.size() < 4096; --n)
+            vpns.push_back(vpn);
+    }
+    std::size_t i = 0;
+    for (auto _ : state)
+        bank.access(vpns[i++ & 4095]);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ShadowBankRepeat);
+
+/**
  * One dispatched event of Machine::run's loop at 32 CPUs: take the
  * minimum (readyAt, cpu) and re-key that CPU by its next latency.
  * The latencies are one seeded stream, mostly FLC-hit short with some

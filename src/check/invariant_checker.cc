@@ -254,28 +254,31 @@ InvariantChecker::checkTranslationResidency(
     std::vector<Violation> &out) const
 {
     // Shadow banks are observers that deliberately survive page
-    // purges, so only the configured TLBs/DLBs are held to this.
+    // purges, so only the configured TLBs/DLBs (and their lanes) are
+    // held to this.
     const unsigned numNodes = m_.numNodes();
     for (NodeId n = 0; n < numNodes; ++n) {
         const Node &node = m_.node(n);
+        auto checkVpn = [&](const std::string &what, bool isDlb,
+                            PageNum vpn) {
+            const PageInfo *page = m_.pageTable().find(vpn);
+            if (!page || !page->resident) {
+                report(out, "stale-translation",
+                       what + " at node " + std::to_string(n) +
+                           " caches vpn " + hexVa(vpn) +
+                           " of a non-resident page");
+                return;
+            }
+            if (isDlb && page->home != n) {
+                report(out, "stale-translation",
+                       what + " at node " + std::to_string(n) +
+                           " caches vpn " + hexVa(vpn) + " homed at node " +
+                           std::to_string(page->home));
+            }
+        };
         auto check = [&](const Tlb &tlb, bool isDlb) {
             tlb.forEachEntry([&](PageNum vpn) {
-                const PageInfo *page = m_.pageTable().find(vpn);
-                if (!page || !page->resident) {
-                    report(out, "stale-translation",
-                           std::string(isDlb ? "DLB" : "TLB") +
-                               " at node " + std::to_string(n) +
-                               " caches vpn " + hexVa(vpn) +
-                               " of a non-resident page");
-                    return;
-                }
-                if (isDlb && page->home != n) {
-                    report(out, "stale-translation",
-                           "DLB at node " + std::to_string(n) +
-                               " caches vpn " + hexVa(vpn) +
-                               " homed at node " +
-                               std::to_string(page->home));
-                }
+                checkVpn(isDlb ? "DLB" : "TLB", isDlb, vpn);
             });
         };
         if (node.tlb)
@@ -286,6 +289,21 @@ InvariantChecker::checkTranslationResidency(
             check(*node.tlbSpill, /*isDlb=*/false);
         if (node.dlb)
             check(node.dlb->tlb(), /*isDlb=*/true);
+        // Lanes are the configured structure at other sizes: purgePage
+        // shoots them down too.
+        if (node.tlbLanes) {
+            node.tlbLanes->forEachEntry([&](unsigned entries, PageNum vpn) {
+                checkVpn(std::to_string(entries) + "-entry TLB lane", false,
+                         vpn);
+            });
+        }
+        for (const Dlb &lane : node.dlbLanes) {
+            lane.tlb().forEachEntry([&](PageNum vpn) {
+                checkVpn(std::to_string(lane.tlb().entries()) +
+                             "-entry DLB lane",
+                         true, vpn);
+            });
+        }
     }
 }
 

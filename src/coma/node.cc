@@ -18,6 +18,21 @@ nodeName(const char *unit, NodeId id)
 
 } // namespace
 
+std::vector<unsigned>
+laneSizes(const MachineConfig &cfg)
+{
+    const TranslationConfig &tc = cfg.translation;
+    if (cfg.timedTranslation || schemeTraits(tc.scheme).slcTlbSpill ||
+        tc.assoc > 1)
+        return {};
+    std::vector<unsigned> sizes;
+    for (unsigned entries : shadowSizes()) {
+        if (entries != tc.entries)
+            sizes.push_back(entries);
+    }
+    return sizes;
+}
+
 Node::Node(NodeId nodeId, const MachineConfig &cfg,
            const SchemeTraits &traits)
     : id(nodeId),
@@ -31,6 +46,10 @@ Node::Node(NodeId nodeId, const MachineConfig &cfg,
     if (traits.perNodeTlb) {
         tlb = std::make_unique<Tlb>(tc.entries, tc.assoc,
                                     cfg.seed + 77 * (nodeId + 1));
+        if (const auto lanes = laneSizes(cfg); !lanes.empty()) {
+            tlbLanes = std::make_unique<ShadowBank>(ShadowBank::lanes(
+                cfg.seed + 77 * (nodeId + 1), lanes, tc.assoc));
+        }
         if (traits.slcTlbSpill) {
             // One spilled translation entry per SLC frame, at the
             // SLC's associativity: the Victima model of PTEs living
@@ -45,6 +64,13 @@ Node::Node(NodeId nodeId, const MachineConfig &cfg,
         dlb = std::make_unique<Dlb>(tc.entries, tc.assoc,
                                     cfg.seed + 99 * (nodeId + 1),
                                     exactLog2(cfg.numNodes));
+        const auto lanes = laneSizes(cfg);
+        dlbLanes.reserve(lanes.size());
+        for (unsigned entries : lanes) {
+            dlbLanes.emplace_back(entries, tc.assoc,
+                                  cfg.seed + 99 * (nodeId + 1),
+                                  exactLog2(cfg.numNodes));
+        }
     }
     // NMT: neither — translation is computed at the home node.
 }

@@ -10,6 +10,7 @@
 #define VCOMA_COMA_NODE_HH
 
 #include <memory>
+#include <vector>
 
 #include "coma/attraction_memory.hh"
 #include "common/config.hh"
@@ -21,6 +22,18 @@
 
 namespace vcoma
 {
+
+/**
+ * The entry counts at which a config's configured TLB/DLB also runs,
+ * as *lanes*, in one simulation: every size of shadowSizes() other
+ * than the configured one. Empty unless translation is untimed (so
+ * the structure's contents cannot change timing, hence the reference
+ * stream), the scheme spills no TLB victims (VICTIMA's spill contents
+ * depend on the TLB size), and the organisation is fully associative
+ * or direct-mapped (what the lanes model). NMT has lanes too: with no
+ * structure, every size's sheet is the same.
+ */
+std::vector<unsigned> laneSizes(const MachineConfig &cfg);
 
 /** Per-node hardware. */
 class Node
@@ -47,11 +60,35 @@ class Node
      */
     std::unique_ptr<Tlb> tlbSpill;
     /**
+     * @{ @name Lanes (laneSizes())
+     *
+     * The configured TLB or DLB at every other size, seeded, filled
+     * and shot down exactly as that size's own run would. They never
+     * affect timing, the tracer or dumpStats; Machine publishes one
+     * sheet per lane.
+     */
+    std::unique_ptr<ShadowBank> tlbLanes;
+    std::vector<Dlb> dlbLanes;
+    /** @} */
+    /**
      * Shadow observer bank at this node's translation point (fed at
      * the scheme's TLB point for L0..L3, at the home's directory
      * lookup for V-COMA).
      */
     ShadowBank shadow;
+
+    /**
+     * Access the configured TLB and its lanes.
+     * @param evictedOut see Tlb::access (the configured TLB's victim)
+     * @return the configured TLB's hit.
+     */
+    bool
+    accessTlb(PageNum vpn, StreamClass cls, PageNum *evictedOut = nullptr)
+    {
+        if (tlbLanes)
+            tlbLanes->access(vpn, cls);
+        return tlb->access(vpn, cls, evictedOut);
+    }
 
     /** @{ @name Node-level event counters */
     Counter upgradesIssued;      ///< S/MS -> E transitions requested

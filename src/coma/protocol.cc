@@ -1,6 +1,7 @@
 #include "coma/protocol.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 #include "common/bitops.hh"
@@ -21,6 +22,8 @@ CoherenceEngine::CoherenceEngine(const MachineConfig &cfg,
       directory_(directory), network_(network), nodes_(nodes),
       rng_(cfg.seed ^ 0xc0a1e5ce)
 {
+    laneShootdowns.resize(laneSizes(cfg_).size());
+    laneDlbFillLatency.resize(laneShootdowns.size());
     pageMask_ = mask(layout_.pageBits());
     pageCtx_.resize(pageCtxSlots);
 
@@ -157,7 +160,7 @@ CoherenceEngine::chargeTlb(Node &node, PageNum vpn, StreamClass cls, Tick t)
         return 0;
     PageNum evicted = Tlb::noVpn;
     const bool hit =
-        node.tlb->access(vpn, cls, node.tlbSpill ? &evicted : nullptr);
+        node.accessTlb(vpn, cls, node.tlbSpill ? &evicted : nullptr);
     if (node.tlbSpill && evicted != Tlb::noVpn) {
         // Victima: the displaced entry spills into an SLC frame
         // instead of being discarded.
@@ -197,11 +200,16 @@ CoherenceEngine::chargeDlb(Node &home, PageInfo &page, NodeId requester,
 {
     if (!home.dlb)
         return 0;
-    const bool hit = home.dlb->access(page, requester, exclusiveReq, cls);
-    if (hit)
-        return 0;
     const Cycles penalty =
         cfg_.timedTranslation ? cfg_.timing.translationMiss : 0;
+    const bool hit = home.dlb->access(page, requester, exclusiveReq, cls);
+    // The lanes see the page's reference/modify bits already set.
+    for (std::size_t k = 0; k < home.dlbLanes.size(); ++k) {
+        if (!home.dlbLanes[k].access(page, requester, exclusiveReq, cls))
+            laneDlbFillLatency[k].sample(static_cast<double>(penalty));
+    }
+    if (hit)
+        return 0;
     dlbFillLatency.sample(static_cast<double>(penalty));
     if (tracer_) {
         tracer_->instant("dlbFill", EventTracer::TrackTranslation, home.id,
@@ -325,7 +333,7 @@ CoherenceEngine::injectBlock(Node &from, VAddr blockVa, AmState st,
     if (traits_.tlbPoint == TlbPoint::NodeExit) {
         from.shadow.access(vpn, StreamClass::Writeback);
         if (from.tlb)
-            from.tlb->access(vpn, StreamClass::Writeback);
+            from.accessTlb(vpn, StreamClass::Writeback);
     }
 
     const VAddr key = amKeyOf(blockVa);
@@ -924,7 +932,7 @@ CoherenceEngine::handleSlcWriteback(Node &node, VAddr victimVa, Tick t)
     if (traits_.tlbPoint == TlbPoint::SlcToAm) {
         node.shadow.access(vpn, StreamClass::Writeback);
         if (node.tlb && cfg_.translation.writebacksAccessTlb)
-            node.tlb->access(vpn, StreamClass::Writeback);
+            node.accessTlb(vpn, StreamClass::Writeback);
     }
 
     // The data folds into the node's AM copy; the version was already
@@ -1029,6 +1037,16 @@ CoherenceEngine::purgePage(PageNum vpn)
             ++tlbShootdowns;
         if (nodePtr->dlb && nodePtr->dlb->invalidate(vpn))
             ++tlbShootdowns;
+        if (nodePtr->tlbLanes) {
+            for (auto held = nodePtr->tlbLanes->invalidate(vpn); held;
+                 held &= held - 1)
+                ++laneShootdowns[static_cast<unsigned>(
+                    std::countr_zero(held))];
+        }
+        for (std::size_t k = 0; k < nodePtr->dlbLanes.size(); ++k) {
+            if (nodePtr->dlbLanes[k].invalidate(vpn))
+                ++laneShootdowns[k];
+        }
     }
 }
 

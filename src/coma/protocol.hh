@@ -248,6 +248,17 @@ class CoherenceEngine
     Distribution dlbFillLatency;      ///< penalty charged per DLB fill
     /** @} */
 
+    /**
+     * @{ @name Lane copies (laneSizes() order)
+     *
+     * The size-dependent engine outputs of each lane of the configured
+     * structure (Node::tlbLanes, Node::dlbLanes): its shoot-downs and
+     * its DLB fills.
+     */
+    std::vector<Counter> laneShootdowns;
+    std::vector<Distribution> laneDlbFillLatency;
+    /** @} */
+
   private:
     /** Fast per-page context resolved once per access. */
     struct BlockCtx

@@ -115,6 +115,28 @@ applyConfiguredFault(Machine &machine, const ExperimentConfig &cfg)
         " but the invariant sweep did not detect it"));
 }
 
+MachineConfig
+machineConfig(const ExperimentConfig &cfg)
+{
+    MachineConfig mc = baselineConfig(cfg.scheme, cfg.tlbEntries,
+                                      cfg.tlbAssoc);
+    mc.numNodes = cfg.nodes;
+    mc.timedTranslation = cfg.timedTranslation;
+    mc.translation.writebacksAccessTlb = cfg.writebacksAccessTlb;
+    mc.seed = cfg.seed;
+    mc.am.assoc = cfg.amAssoc;
+    mc.timing.translationMiss = cfg.xlatPenalty;
+    return mc;
+}
+
+/** The key of @p cfg with the TLB/DLB at @p entries. */
+std::string
+siblingKey(ExperimentConfig cfg, unsigned entries)
+{
+    cfg.tlbEntries = entries;
+    return cfg.key();
+}
+
 } // namespace
 
 std::string
@@ -344,41 +366,52 @@ Runner::tryRun(const ExperimentConfig &cfg, bool *freshlyExecuted)
     }
 
     RunStats stats;
-    const std::string path = cachePath(cfg);
-    if (path.empty() || !load(path, stats)) {
-        try {
-            stats = execute(cfg);
-        } catch (const std::exception &e) {
-            recordFailure(cfg, key, e.what());
-            return nullptr;
-        }
-        if (freshlyExecuted)
-            *freshlyExecuted = true;
-        if (!path.empty())
-            store(path, stats);
+    const std::string path = cachePath(key);
+    if (!path.empty() && load(path, stats)) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return &memo_.emplace(key, std::move(stats)).first->second;
     }
+    Sheets sheets;
+    try {
+        sheets = execute(cfg);
+    } catch (const std::exception &e) {
+        recordFailure(cfg, key, e.what());
+        return nullptr;
+    }
+    if (freshlyExecuted)
+        *freshlyExecuted = true;
+    publish(std::move(sheets));
     std::lock_guard<std::mutex> lock(mutex_);
-    return &memo_.emplace(key, std::move(stats)).first->second;
+    return &memo_.at(key);
 }
 
 void
 Runner::executeAndMemoise(const ExperimentConfig &cfg,
                           const std::string &key)
 {
-    RunStats stats;
+    Sheets sheets;
     try {
-        stats = execute(cfg);
+        sheets = execute(cfg);
     } catch (const std::exception &e) {
         recordFailure(cfg, key, e.what());
         if (envTruthy("VCOMA_STRICT"))
             throw;
         return;
     }
-    const std::string path = cachePath(cfg);
-    if (!path.empty())
-        store(path, stats);
+    publish(std::move(sheets));
+}
+
+void
+Runner::publish(Sheets sheets)
+{
+    for (const auto &[key, stats] : sheets) {
+        const std::string path = cachePath(key);
+        if (!path.empty())
+            store(path, stats);
+    }
     std::lock_guard<std::mutex> lock(mutex_);
-    memo_.emplace(key, std::move(stats));
+    for (auto &[key, stats] : sheets)
+        memo_.emplace(key, std::move(stats));
 }
 
 void
@@ -419,48 +452,52 @@ Runner::runAll(std::span<const ExperimentConfig> cfgs,
         keys.push_back(cfg.key());
 
     // Single-threaded triage: satisfy what the memo or the disk cache
-    // already has, and collect the first occurrence of every unique
-    // key that still needs a simulation.
+    // already has, and schedule one simulation per trajectory: the
+    // first occurrence of a key no scheduled simulation serves. A
+    // simulation serves its own key and its lane siblings' keys.
     std::vector<std::size_t> toRun;
+    // Slots this call serves fresh: the first of each key it
+    // simulates or serves from a lane.
+    std::vector<std::size_t> served;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        std::unordered_set<std::string> scheduled;
+        std::unordered_set<std::string> covered, claimed;
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            if (memo_.count(keys[i]) || failed_.count(keys[i]) ||
-                scheduled.count(keys[i]))
+            const std::string &key = keys[i];
+            if (memo_.count(key) || failed_.count(key))
                 continue;
-            RunStats stats;
-            const std::string path = cachePath(cfgs[i]);
-            if (!path.empty() && load(path, stats)) {
-                memo_.emplace(keys[i], std::move(stats));
+            if (covered.count(key)) {
+                if (claimed.insert(key).second)
+                    served.push_back(i);
                 continue;
             }
-            scheduled.insert(keys[i]);
+            RunStats stats;
+            const std::string path = cachePath(key);
+            if (!path.empty() && load(path, stats)) {
+                memo_.emplace(key, std::move(stats));
+                continue;
+            }
+            covered.insert(key);
+            for (unsigned entries : laneSizes(machineConfig(cfgs[i])))
+                covered.insert(siblingKey(cfgs[i], entries));
+            claimed.insert(key);
             toRun.push_back(i);
+            served.push_back(i);
         }
     }
+    executeAll(cfgs, keys, toRun);
 
-    const unsigned jobs = static_cast<unsigned>(
-        std::min<std::size_t>(envJobs(), toRun.size()));
-    if (jobs > 1) {
-        ThreadPool pool(jobs);
-        std::vector<std::future<void>> done;
-        done.reserve(toRun.size());
-        for (std::size_t i : toRun) {
-            done.push_back(pool.submit([this, cfg = cfgs[i],
-                                        key = keys[i]] {
-                executeAndMemoise(cfg, key);
-            }));
+    // A sibling whose simulation failed publishes nothing: it runs on
+    // its own, so any failure it records is its own.
+    std::vector<std::size_t> orphans;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (std::size_t i : served) {
+            if (!memo_.count(keys[i]) && !failed_.count(keys[i]))
+                orphans.push_back(i);
         }
-        // Collect in submission order. Failures are recorded inside
-        // the job, so get() only rethrows under $VCOMA_STRICT; the
-        // pool's destructor still drains the queue if one does.
-        for (auto &f : done)
-            f.get();
-    } else {
-        for (std::size_t i : toRun)
-            executeAndMemoise(cfgs[i], keys[i]);
     }
+    executeAll(cfgs, keys, orphans);
 
     std::vector<const RunStats *> results;
     results.reserve(cfgs.size());
@@ -471,24 +508,44 @@ Runner::runAll(std::span<const ExperimentConfig> cfgs,
     }
     if (freshlyExecuted) {
         freshlyExecuted->assign(cfgs.size(), false);
-        for (std::size_t i : toRun)
+        for (std::size_t i : served)
             (*freshlyExecuted)[i] = results[i] != nullptr;
     }
     return results;
 }
 
-RunStats
+void
+Runner::executeAll(std::span<const ExperimentConfig> cfgs,
+                   const std::vector<std::string> &keys,
+                   const std::vector<std::size_t> &slots)
+{
+    const unsigned jobs = static_cast<unsigned>(
+        std::min<std::size_t>(envJobs(), slots.size()));
+    if (jobs <= 1) {
+        for (std::size_t i : slots)
+            executeAndMemoise(cfgs[i], keys[i]);
+        return;
+    }
+    ThreadPool pool(jobs);
+    std::vector<std::future<void>> done;
+    done.reserve(slots.size());
+    for (std::size_t i : slots) {
+        done.push_back(pool.submit([this, cfg = cfgs[i], key = keys[i]] {
+            executeAndMemoise(cfg, key);
+        }));
+    }
+    // Collect in submission order. Failures are recorded inside the
+    // job, so get() only rethrows under $VCOMA_STRICT; the pool's
+    // destructor still drains the queue if one does.
+    for (auto &f : done)
+        f.get();
+}
+
+Runner::Sheets
 Runner::execute(const ExperimentConfig &cfg)
 {
     ++executed_;
-    MachineConfig mc = baselineConfig(cfg.scheme, cfg.tlbEntries,
-                                      cfg.tlbAssoc);
-    mc.numNodes = cfg.nodes;
-    mc.timedTranslation = cfg.timedTranslation;
-    mc.translation.writebacksAccessTlb = cfg.writebacksAccessTlb;
-    mc.seed = cfg.seed;
-    mc.am.assoc = cfg.amAssoc;
-    mc.timing.translationMiss = cfg.xlatPenalty;
+    const MachineConfig mc = machineConfig(cfg);
 
     WorkloadParams wp;
     wp.threads = cfg.nodes;
@@ -537,13 +594,16 @@ Runner::execute(const ExperimentConfig &cfg)
                     *workload, tracePath, cfg.key());
             }
         }
-        RunStats stats =
-            machine.run(recording ? *recording : *workload);
+        Sheets sheets;
+        sheets.emplace_back(cfg.key(),
+                            machine.run(recording ? *recording : *workload));
         if (recording)
             recording->finalize();
         if (!cfg.injectFault.empty())
             applyConfiguredFault(machine, cfg);
-        return stats;
+        for (const LaneSheet &lane : machine.laneSheets())
+            sheets.emplace_back(siblingKey(cfg, lane.entries), lane.stats);
+        return sheets;
     } catch (const SimulationError &) {
         throw;
     } catch (const std::exception &e) {
@@ -555,11 +615,11 @@ Runner::execute(const ExperimentConfig &cfg)
 }
 
 std::string
-Runner::cachePath(const ExperimentConfig &cfg) const
+Runner::cachePath(const std::string &key) const
 {
     if (cacheDir_.empty())
         return "";
-    return cacheDir_ + "/" + cfg.key() + ".json";
+    return cacheDir_ + "/" + key + ".json";
 }
 
 bool

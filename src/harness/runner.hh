@@ -20,6 +20,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -93,6 +94,11 @@ struct FailedRun
  * then the writeRunStatsJson() sheet and a newline. An entry that
  * readRunStatsJson() rejects is a miss: the config simulates again.
  *
+ * A simulation publishes more than its own config's sheet: an untimed
+ * config's configured TLB/DLB runs at every standard size in lanes
+ * (laneSizes() in coma/node.hh), and each lane's sheet is memoised and
+ * stored under the key of the sibling config of that size.
+ *
  * Thread safety: run() and runAll() may be called from any thread;
  * the memo map and execution counter are internally synchronised.
  * Returned references stay valid for the Runner's lifetime (the memo
@@ -141,9 +147,14 @@ class Runner
      * $VCOMA_STRICT=1 to restore fail-fast (the first failure is
      * rethrown once the pool drains).
      *
+     * Each simulation scheduled also serves its config's lane
+     * siblings, so configs differing only in TLB/DLB size simulate
+     * once (never side by side on two workers).
+     *
      * When @p freshlyExecuted is non-null, slot i is set to true iff
-     * this call simulated config i; a key repeated within the batch
-     * simulates once, so only its first slot reads true.
+     * this call simulated config i or served it from a lane of a
+     * simulation it ran; a key repeated within the batch simulates
+     * once, so only its first slot reads true.
      */
     std::vector<const RunStats *>
     runAll(std::span<const ExperimentConfig> cfgs,
@@ -204,19 +215,38 @@ class Runner
     static unsigned pruneTraces(const std::string &dir,
                                 std::uint64_t maxBytes);
 
-    /** Simulations actually executed (not served from cache). */
+    /**
+     * Simulations actually executed. One simulation of an untimed
+     * config serves every size of its configured TLB/DLB (laneSizes()
+     * in coma/node.hh), so this can be less than the configs served
+     * without the cache.
+     */
     unsigned executed() const { return executed_.load(); }
 
   private:
-    RunStats execute(const ExperimentConfig &cfg);
-    std::string cachePath(const ExperimentConfig &cfg) const;
+    /** One simulation's sheets under their keys, the config's first. */
+    using Sheets = std::vector<std::pair<std::string, RunStats>>;
+
+    /**
+     * Simulate @p cfg. Its sheet comes with one per lane of the
+     * configured TLB/DLB (laneSizes()), keyed as the sibling config
+     * of that size.
+     */
+    Sheets execute(const ExperimentConfig &cfg);
+    std::string cachePath(const std::string &key) const;
     bool load(const std::string &path, RunStats &stats) const;
+    /** Store every sheet on disk and in the memo: the one store path. */
+    void publish(Sheets sheets);
     void store(const std::string &path, const RunStats &stats) const;
     bool storeOnce(const std::string &path, const RunStats &stats,
                    std::string &error) const;
-    /** Execute, store to disk, and memoise one cache-missing config. */
+    /** Execute and publish one cache-missing config. */
     void executeAndMemoise(const ExperimentConfig &cfg,
                            const std::string &key);
+    /** executeAndMemoise() configs @p slots of @p cfgs, on the pool. */
+    void executeAll(std::span<const ExperimentConfig> cfgs,
+                    const std::vector<std::string> &keys,
+                    const std::vector<std::size_t> &slots);
     void recordFailure(const ExperimentConfig &cfg,
                        const std::string &key, const std::string &error);
 

@@ -19,6 +19,45 @@
 namespace vcoma
 {
 
+namespace
+{
+
+ShadowTotals
+totalsOf(const Tlb &tlb)
+{
+    return {tlb.demandAccesses.value(), tlb.demandMisses.value(),
+            tlb.writebackAccesses.value(), tlb.writebackMisses.value()};
+}
+
+/** Add one translation structure's counters to @p stats. */
+void
+addTranslation(RunStats &stats, const ShadowTotals &t)
+{
+    stats.tlbAccesses += t.demandAccesses;
+    stats.tlbMisses += t.demandMisses;
+    stats.tlbWritebackAccesses += t.writebackAccesses;
+    stats.tlbWritebackMisses += t.writebackMisses;
+}
+
+/**
+ * Sample the requester spread of @p dlb's still-live entries (retired
+ * ones were sampled as they left), then fold this home node into the
+ * machine-wide DLB-effect counters (Section 5.2: sharing and
+ * prefetching).
+ */
+void
+addDlbEffects(RunStats &stats, Dlb &dlb)
+{
+    addTranslation(stats, totalsOf(dlb.tlb()));
+    dlb.finalizeEntryStats();
+    stats.dlbSharedHits += dlb.sharedHits.value();
+    stats.dlbPrefetchedFills += dlb.prefetchedFills.value();
+    stats.dlbRequestersPerEntry.merge(
+        DistSummary::of(dlb.requestersPerEntry));
+}
+
+} // namespace
+
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(validated(cfg)),
       traits_(schemeTraits(cfg_.translation.scheme)),
@@ -524,29 +563,10 @@ Machine::collect(Workload &workload, std::vector<CpuStats> cpus,
         stats.slcMisses += n.slc.misses();
         stats.amHits += n.am.hits.value();
         stats.amMisses += n.am.misses.value();
-        if (n.tlb) {
-            stats.tlbAccesses += n.tlb->demandAccesses.value();
-            stats.tlbMisses += n.tlb->demandMisses.value();
-            stats.tlbWritebackAccesses += n.tlb->writebackAccesses.value();
-            stats.tlbWritebackMisses += n.tlb->writebackMisses.value();
-        }
-        if (n.dlb) {
-            stats.tlbAccesses += n.dlb->tlb().demandAccesses.value();
-            stats.tlbMisses += n.dlb->tlb().demandMisses.value();
-            stats.tlbWritebackAccesses +=
-                n.dlb->tlb().writebackAccesses.value();
-            stats.tlbWritebackMisses +=
-                n.dlb->tlb().writebackMisses.value();
-            // Sample the requester spread of the still-live DLB
-            // entries (retired ones were sampled as they left), then
-            // fold this home node into the machine-wide DLB-effect
-            // counters (Section 5.2: sharing and prefetching).
-            n.dlb->finalizeEntryStats();
-            stats.dlbSharedHits += n.dlb->sharedHits.value();
-            stats.dlbPrefetchedFills += n.dlb->prefetchedFills.value();
-            stats.dlbRequestersPerEntry.merge(
-                DistSummary::of(n.dlb->requestersPerEntry));
-        }
+        if (n.tlb)
+            addTranslation(stats, totalsOf(*n.tlb));
+        if (n.dlb)
+            addDlbEffects(stats, *n.dlb);
     }
 
     stats.pressureProfile = pressure_.profile();
@@ -572,6 +592,30 @@ Machine::collect(Workload &workload, std::vector<CpuStats> cpus,
     stats.remoteReadLatency = DistSummary::of(engine_.remoteReadLatency);
     stats.remoteWriteLatency = DistSummary::of(engine_.remoteWriteLatency);
     stats.dlbFillLatency = DistSummary::of(engine_.dlbFillLatency);
+
+    // Each lane's sheet is this one with the size-dependent
+    // translation fields of that lane.
+    const std::vector<unsigned> lanes = laneSizes(cfg_);
+    laneSheets_.clear();
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+        RunStats lane = stats;
+        lane.tlbAccesses = lane.tlbMisses = 0;
+        lane.tlbWritebackAccesses = lane.tlbWritebackMisses = 0;
+        lane.dlbSharedHits = lane.dlbPrefetchedFills = 0;
+        lane.dlbRequestersPerEntry = {};
+        for (const auto &nodePtr : nodes_) {
+            Node &n = *nodePtr;
+            if (n.tlbLanes) {
+                addTranslation(
+                    lane, *n.tlbLanes->find(lanes[k], cfg_.translation.assoc));
+            }
+            if (!n.dlbLanes.empty())
+                addDlbEffects(lane, n.dlbLanes[k]);
+        }
+        lane.tlbShootdowns = engine_.laneShootdowns[k].value();
+        lane.dlbFillLatency = DistSummary::of(engine_.laneDlbFillLatency[k]);
+        laneSheets_.push_back({lanes[k], std::move(lane)});
+    }
     return stats;
 }
 

@@ -38,6 +38,13 @@ namespace vcoma
 class InvariantChecker;
 class EventTracer;
 
+/** One lane's stats sheet (see laneSizes()). */
+struct LaneSheet
+{
+    unsigned entries;
+    RunStats stats;
+};
+
 /** A fully assembled machine for one translation scheme. */
 class Machine
 {
@@ -47,6 +54,13 @@ class Machine
 
     /** Run @p workload to completion and collect the stats sheet. */
     RunStats run(Workload &workload);
+
+    /**
+     * After run(): one sheet per lane of the configured TLB/DLB, in
+     * laneSizes() order, each byte-identical to the sheet of that
+     * size's own run. Empty when the config has no lanes.
+     */
+    const std::vector<LaneSheet> &laneSheets() const { return laneSheets_; }
 
     /**
      * Execute a single reference directly (unit tests and examples
@@ -126,6 +140,7 @@ class Machine
     std::unique_ptr<EventTracer> tracer_;
     /** Present only when the sanitizer is enabled for this run. */
     std::unique_ptr<InvariantChecker> checker_;
+    std::vector<LaneSheet> laneSheets_;
     std::uint64_t checkInterval_ = 0;
     std::uint64_t checkCredit_ = 0;
     Cycles watchdogCycles_ = 0;

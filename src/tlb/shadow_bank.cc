@@ -1,5 +1,6 @@
 #include "tlb/shadow_bank.hh"
 
+#include <algorithm>
 #include <bit>
 #include <numeric>
 
@@ -16,30 +17,67 @@ shadowSizes()
     return sizes;
 }
 
-ShadowBank::ShadowBank(std::uint64_t seed,
-                       const std::vector<unsigned> &sizes,
-                       unsigned indexShift)
-    : sizes_(sizes), indexShift_(indexShift),
-      index_(std::accumulate(sizes.begin(), sizes.end(), std::size_t{0}))
+ShadowBank::ShadowBank(const std::vector<unsigned> &sizes,
+                       unsigned indexShift, bool hasFa)
+    : indexShift_(indexShift),
+      index_(hasFa ? std::accumulate(sizes.begin(), sizes.end(),
+                                     std::size_t{0})
+                   : 0)
 {
     if (sizes.size() > 8 * sizeof(Mask))
         fatal("a shadow bank holds at most ", 8 * sizeof(Mask), " sizes");
+    for (unsigned entries : sizes) {
+        if (!isPowerOf2(entries))
+            fatal("shadow TLB size ", entries, " is not a power of two");
+    }
+}
+
+ShadowBank::ShadowBank(std::uint64_t seed,
+                       const std::vector<unsigned> &sizes,
+                       unsigned indexShift)
+    : ShadowBank(sizes, indexShift, /*hasFa=*/true)
+{
     // Member n (counting from 1, FA then DM per size) draws its
     // victims from Rng(seed + 31 * n), the stream a standalone
     // Tlb(entries, 0, seed + 31 * n) uses: every pinned sheet
     // depends on it.
     std::uint64_t n = 0;
     for (unsigned entries : sizes) {
-        if (!isPowerOf2(entries))
-            fatal("shadow TLB size ", entries, " is not a power of two");
-        fa_.push_back(FaMember{entries, 0, faSlots_.size(),
-                               Rng(seed + 31 * ++n)});
-        faSlots_.resize(faSlots_.size() + entries, FlatIndex<Mask>::emptyKey);
+        addFa(entries, Rng(seed + 31 * ++n));
         ++n;  // the DM member's seed: direct-mapped fills draw nothing
-        dm_.push_back(DmMember{entries - 1, dmTags_.size()});
-        dmTags_.resize(dmTags_.size() + entries, FlatIndex<Mask>::emptyKey);
+        addDm(entries);
     }
+}
+
+ShadowBank
+ShadowBank::lanes(std::uint64_t seed, const std::vector<unsigned> &sizes,
+                  unsigned assoc, unsigned indexShift)
+{
+    if (assoc > 1)
+        fatal("TLB lanes are fully associative or direct-mapped");
+    ShadowBank bank(sizes, indexShift, /*hasFa=*/assoc == 0);
+    for (unsigned entries : sizes) {
+        if (assoc == 0)
+            bank.addFa(entries, Rng(seed));
+        else
+            bank.addDm(entries);
+    }
+    return bank;
+}
+
+void
+ShadowBank::addFa(unsigned entries, Rng rng)
+{
+    fa_.push_back(FaMember{entries, 0, faSlots_.size(), rng, {}, {}});
+    faSlots_.resize(faSlots_.size() + entries, FlatIndex<Mask>::emptyKey);
     allFa_ = static_cast<Mask>((std::uint64_t{1} << fa_.size()) - 1);
+}
+
+void
+ShadowBank::addDm(unsigned entries)
+{
+    dm_.push_back(DmMember{entries - 1, dmTags_.size()});
+    dmTags_.resize(dmTags_.size() + entries, FlatIndex<Mask>::emptyKey);
 }
 
 void
@@ -52,10 +90,9 @@ ShadowBank::evict(PageNum vpn, Mask bit)
 }
 
 void
-ShadowBank::access(PageNum vpn, StreamClass cls)
+ShadowBank::fill(PageNum vpn, unsigned c)
 {
-    const unsigned c = cls == StreamClass::Demand ? 0 : 1;
-    ++accesses_[c];
+    last_ = vpn;
 
     for (DmMember &m : dm_) {
         PageNum &tag = dmTags_[m.base + ((vpn >> indexShift_) & m.setMask)];
@@ -74,10 +111,14 @@ ShadowBank::access(PageNum vpn, StreamClass cls)
         const unsigned k = static_cast<unsigned>(std::countr_zero(missing));
         FaMember &m = fa_[k];
         ++m.misses[c];
-        // An empty slot if one exists, else random replacement
-        // (paper Section 5.1).
+        // A free slot if one exists (the last one invalidated first,
+        // then never-used slots in order), else random replacement
+        // (paper Section 5.1): Tlb's order exactly.
         unsigned slot;
-        if (m.filled < m.entries) {
+        if (!m.freed.empty()) {
+            slot = m.freed.back();
+            m.freed.pop_back();
+        } else if (m.filled < m.entries) {
             slot = m.filled++;
         } else {
             slot = static_cast<unsigned>(m.rng.below(m.entries));
@@ -93,16 +134,74 @@ ShadowBank::access(PageNum vpn, StreamClass cls)
         index_.insert(vpn, allFa_);
 }
 
+std::uint32_t
+ShadowBank::invalidate(PageNum vpn)
+{
+    VCOMA_ASSERT(fa_.empty() || dm_.empty());
+    last_ = FlatIndex<Mask>::emptyKey;
+    Mask dropped = 0;
+    for (std::size_t k = 0; k < dm_.size(); ++k) {
+        const DmMember &m = dm_[k];
+        PageNum &tag = dmTags_[m.base + ((vpn >> indexShift_) & m.setMask)];
+        if (tag == vpn) {
+            tag = FlatIndex<Mask>::emptyKey;
+            dropped |= Mask{1} << k;
+        }
+    }
+    auto *e = index_.find(vpn);
+    if (!e)
+        return dropped;
+    for (Mask held = e->value; held; held &= held - 1) {
+        const unsigned k = static_cast<unsigned>(std::countr_zero(held));
+        FaMember &m = fa_[k];
+        // Shoot-downs are rare (page swap-outs): a scan of the
+        // member's slots beats keeping a per-member slot index.
+        PageNum *first = faSlots_.data() + m.base;
+        PageNum *slot = std::find(first, first + m.entries, vpn);
+        *slot = FlatIndex<Mask>::emptyKey;
+        m.freed.push_back(static_cast<unsigned>(slot - first));
+    }
+    dropped |= e->value;
+    index_.erase(e);
+    return dropped;
+}
+
+void
+ShadowBank::forEachEntry(
+    const std::function<void(unsigned entries, PageNum vpn)> &fn) const
+{
+    for (const FaMember &m : fa_) {
+        for (unsigned i = 0; i < m.entries; ++i) {
+            if (faSlots_[m.base + i] != FlatIndex<Mask>::emptyKey)
+                fn(m.entries, faSlots_[m.base + i]);
+        }
+    }
+    for (const DmMember &m : dm_) {
+        for (PageNum i = 0; i <= m.setMask; ++i) {
+            if (dmTags_[m.base + i] != FlatIndex<Mask>::emptyKey)
+                fn(static_cast<unsigned>(m.setMask + 1),
+                   dmTags_[m.base + i]);
+        }
+    }
+}
+
 std::optional<ShadowTotals>
 ShadowBank::find(unsigned entries, unsigned assoc) const
 {
-    for (std::size_t k = 0; k < sizes_.size(); ++k) {
-        if (sizes_[k] != entries || assoc > 1)
-            continue;
-        const std::uint64_t *misses =
-            assoc == 0 ? fa_[k].misses : dm_[k].misses;
+    auto totals = [&](const std::uint64_t *misses) {
         return ShadowTotals{accesses_[0], misses[0], accesses_[1],
                             misses[1]};
+    };
+    if (assoc == 0) {
+        for (const FaMember &m : fa_) {
+            if (m.entries == entries)
+                return totals(m.misses);
+        }
+    } else if (assoc == 1) {
+        for (const DmMember &m : dm_) {
+            if (m.setMask + 1 == entries)
+                return totals(m.misses);
+        }
     }
     return std::nullopt;
 }

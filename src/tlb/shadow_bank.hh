@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -63,6 +64,15 @@ struct ShadowTotals
  * its own slot array and random-replacement stream and behaves
  * exactly as a standalone Tlb(entries, 0, seed + 31 * n) would; each
  * DM member is a flat tag array, as a Tlb(entries, 1, ...) would be.
+ *
+ * After an access every member holds its vpn, and a hit changes no
+ * member's state, so an access repeating the previous one is counted
+ * without touching any member.
+ *
+ * lanes() builds the other kind of bank: one organisation only, every
+ * member on the one seed a standalone Tlb of that size would get, and
+ * with invalidate(). It carries the configured TLB at its sibling
+ * sizes (see laneSizes() in coma/node.hh).
  */
 class ShadowBank
 {
@@ -78,8 +88,35 @@ class ShadowBank
                         const std::vector<unsigned> &sizes = shadowSizes(),
                         unsigned indexShift = 0);
 
+    /**
+     * A bank of @p assoc members (0 = FA, 1 = DM), one per entry
+     * count in @p sizes, each behaving exactly as a standalone
+     * Tlb(entries, assoc, seed, indexShift) fed the same accesses and
+     * invalidations.
+     */
+    static ShadowBank lanes(std::uint64_t seed,
+                            const std::vector<unsigned> &sizes,
+                            unsigned assoc, unsigned indexShift = 0);
+
     /** Feed one reference to every member TLB. */
-    void access(PageNum vpn, StreamClass cls = StreamClass::Demand);
+    void
+    access(PageNum vpn, StreamClass cls = StreamClass::Demand)
+    {
+        const unsigned c = cls == StreamClass::Demand ? 0 : 1;
+        ++accesses_[c];
+        if (vpn != last_)
+            fill(vpn, c);
+    }
+
+    /**
+     * Drop @p vpn from every member of a lanes() bank (a shoot-down).
+     * @return bit k set iff the member of sizes[k] held it.
+     */
+    std::uint32_t invalidate(PageNum vpn);
+
+    /** Visit every (member entry count, cached vpn) pair. */
+    void forEachEntry(
+        const std::function<void(unsigned entries, PageNum vpn)> &fn) const;
 
     /**
      * Counters of the member with @p entries and associativity
@@ -94,10 +131,12 @@ class ShadowBank
     struct FaMember
     {
         unsigned entries;
-        unsigned filled = 0;  ///< slots [0, filled) hold a vpn
+        unsigned filled = 0;  ///< slots [0, filled) were ever used
         std::size_t base;     ///< first slot in faSlots_
         Rng rng;
         std::uint64_t misses[2] = {};  ///< by StreamClass
+        /** Invalidated slots, reused last-freed first (as Tlb does). */
+        std::vector<unsigned> freed;
     };
 
     struct DmMember
@@ -107,9 +146,18 @@ class ShadowBank
         std::uint64_t misses[2] = {};
     };
 
+    /**
+     * A bank with no members yet; its index fits FA members of every
+     * size in @p sizes when @p hasFa.
+     */
+    ShadowBank(const std::vector<unsigned> &sizes, unsigned indexShift,
+               bool hasFa);
+    void addFa(unsigned entries, Rng rng);
+    void addDm(unsigned entries);
+    /** The access path of a vpn other than the previous one. */
+    void fill(PageNum vpn, unsigned c);
     void evict(PageNum vpn, Mask bit);
 
-    std::vector<unsigned> sizes_;
     unsigned indexShift_;
     std::vector<PageNum> faSlots_;
     std::vector<PageNum> dmTags_;
@@ -120,6 +168,8 @@ class ShadowBank
     Mask allFa_ = 0;
     /** Every member sees every access: one count per bank. */
     std::uint64_t accesses_[2] = {};
+    /** The previous access's vpn: every member holds it. */
+    PageNum last_ = FlatIndex<Mask>::emptyKey;
 };
 
 /** Sum the counters of every bank's member matching (entries, assoc). */

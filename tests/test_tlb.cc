@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
@@ -353,6 +356,38 @@ mixedStream(std::size_t n, PageNum hot, PageNum pages, std::uint64_t seed)
     return refs;
 }
 
+/**
+ * @p base with each access repeated 1 to 8 times in a row, every
+ * repeat drawing its own stream class: the repeat fast path's load.
+ */
+std::vector<std::pair<PageNum, StreamClass>>
+repeatedStream(const std::vector<std::pair<PageNum, StreamClass>> &base,
+               std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::pair<PageNum, StreamClass>> refs;
+    for (const auto &[vpn, cls] : base) {
+        refs.emplace_back(vpn, cls);
+        for (auto n = rng.below(8); n > 0; --n) {
+            refs.emplace_back(vpn, rng.below(4) == 0
+                                       ? StreamClass::Writeback
+                                       : StreamClass::Demand);
+        }
+    }
+    return refs;
+}
+
+/** The vpns @p visit reports, sorted. */
+std::vector<PageNum>
+sortedContents(const std::function<void(const std::function<void(PageNum)> &)>
+                   &visit)
+{
+    std::vector<PageNum> out;
+    visit([&](PageNum vpn) { out.push_back(vpn); });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
 } // namespace
 
 /**
@@ -366,7 +401,8 @@ TEST(ShadowBank, MatchesStandaloneTlbsPerMember)
     const std::uint64_t seed = 0x5eed;
     const std::vector<std::vector<std::pair<PageNum, StreamClass>>>
         streams{mixedStream(200000, 24, 96, 11),
-                mixedStream(200000, 700, 1 << 16, 12)};
+                mixedStream(200000, 700, 1 << 16, 12),
+                repeatedStream(mixedStream(40000, 700, 1 << 16, 13), 14)};
     for (unsigned shift : {0u, 5u}) {
         for (std::size_t si = 0; si < streams.size(); ++si) {
             ShadowBank bank(seed, shadowSizes(), shift);
@@ -398,11 +434,88 @@ TEST(ShadowBank, MatchesStandaloneTlbsPerMember)
                 EXPECT_EQ(member->writebackMisses,
                           tlb.writebackMisses.value()) << where;
             }
-            // The wide stream must have run replacement in every size.
-            if (si == 1) {
+            // The wide streams must have run replacement in every size.
+            if (si != 0) {
                 const auto big = bank.find(512, 0);
                 EXPECT_GT(big->misses(), 512u + 1000u);
             }
+        }
+    }
+}
+
+/**
+ * A lanes() bank is the configured TLB at its sibling sizes: every
+ * member on the one shared seed must count, shoot down and hold
+ * exactly what a standalone Tlb(entries, assoc, seed, shift) fed the
+ * same accesses and invalidations does, in both organisations. The
+ * invalidations land between repeats, so the repeat fast path must
+ * notice them.
+ */
+TEST(ShadowBank, LanesMatchStandaloneTlbsUnderInvalidation)
+{
+    const std::uint64_t seed = 0x1a7e;
+    const std::vector<unsigned> sizes{8, 16, 64, 128, 256, 512};
+    const auto stream =
+        repeatedStream(mixedStream(30000, 40, 4096, 21), 22);
+    for (unsigned assoc : {0u, 1u}) {
+        for (unsigned shift : {0u, 5u}) {
+            ShadowBank bank = ShadowBank::lanes(seed, sizes, assoc, shift);
+            std::vector<Tlb> ref;
+            for (unsigned size : sizes)
+                ref.emplace_back(size, assoc, seed, shift);
+            Rng rng(23);
+            std::uint64_t dropped = 0;
+            for (const auto &[vpn, cls] : stream) {
+                bank.access(vpn, cls);
+                for (Tlb &tlb : ref)
+                    tlb.access(vpn, cls);
+                if (rng.below(16) != 0)
+                    continue;
+                // Shoot down the page just touched half the time (the
+                // repeat path's vpn), else a random hot or cold one.
+                const PageNum victim =
+                    rng.below(2) ? vpn
+                                 : (rng.below(2) ? rng.below(40)
+                                                 : rng.below(4096));
+                const std::uint32_t held = bank.invalidate(victim);
+                for (std::size_t k = 0; k < ref.size(); ++k) {
+                    EXPECT_EQ((held >> k) & 1, ref[k].invalidate(victim)
+                                                   ? 1u : 0u)
+                        << sizes[k] << " entries, assoc " << assoc;
+                }
+                dropped += std::popcount(held);
+            }
+            EXPECT_GT(dropped, 1000u);
+            for (std::size_t k = 0; k < ref.size(); ++k) {
+                const Tlb &tlb = ref[k];
+                const std::string where =
+                    "shift " + std::to_string(shift) + ", " +
+                    std::to_string(tlb.entries()) + " " + tlb.organisation();
+                const auto member = bank.find(tlb.entries(), assoc);
+                ASSERT_TRUE(member.has_value()) << where;
+                EXPECT_EQ(member->demandAccesses,
+                          tlb.demandAccesses.value()) << where;
+                EXPECT_EQ(member->demandMisses, tlb.demandMisses.value())
+                    << where;
+                EXPECT_EQ(member->writebackAccesses,
+                          tlb.writebackAccesses.value()) << where;
+                EXPECT_EQ(member->writebackMisses,
+                          tlb.writebackMisses.value()) << where;
+                const auto mine = sortedContents([&](const auto &fn) {
+                    bank.forEachEntry([&](unsigned entries, PageNum vpn) {
+                        if (entries == tlb.entries())
+                            fn(vpn);
+                    });
+                });
+                EXPECT_EQ(mine, sortedContents([&](const auto &fn) {
+                              tlb.forEachEntry(fn);
+                          }))
+                    << where;
+            }
+            EXPECT_FALSE(bank.find(32, assoc).has_value())
+                << "a lane bank holds only its own sizes";
+            EXPECT_FALSE(bank.find(8, 1 - assoc).has_value())
+                << "a lane bank holds only its own organisation";
         }
     }
 }

@@ -8,7 +8,9 @@
  *
  * The configs (workloads outer, schemes inner) run as one
  * Runner::runAll batch on $VCOMA_JOBS threads. Sheets are the exact
- * writeRunStatsJson() output plus one newline.
+ * writeRunStatsJson() output plus one newline. Stderr carries one
+ * provenance line per config, "(cached)" or "(simulated)", and a last
+ * line counting the simulations the batch ran.
  *
  * `--jsonl FILE` additionally appends one stats record
  * per config — the exact writeRunStatsJson() bytes, i.e. the same
@@ -273,6 +275,10 @@ runDirect(Options &opt)
             writeSheet(opt.outDir + "/" + cfg.key() + ".json",
                        sheet.str());
     }
+    // One simulation serves every TLB/DLB size of an untimed config,
+    // so this can be fewer than the configs reported simulated.
+    std::cerr << "vcoma_client: " << runner.executed()
+              << " simulation(s) for " << cfgs.size() << " config(s)\n";
     return rc;
 }
 
