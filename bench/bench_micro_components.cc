@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark micro-benchmarks of the simulator's hot
  * components: cache lookups, TLB lookups (FA flat index vs DM
- * array), shadow-bank accesses, event dispatch (winner tree vs
- * heap), attraction-memory searches, the coherence fast path, and
+ * array), shadow-bank accesses, winner-tree event dispatch,
+ * attraction-memory searches, the coherence fast path, and
  * end-to-end simulated-reference throughput. These bound the wall
  * clock of the paper-reproduction runs.
  */
@@ -114,19 +114,17 @@ BENCHMARK(BM_ShadowBankRepeat);
  * One dispatched event of Machine::run's loop at 32 CPUs: take the
  * minimum (readyAt, cpu) and re-key that CPU by its next latency.
  * The latencies are one seeded stream, mostly FLC-hit short with some
- * remote-miss long, and both queues dispatch in the same order, so
- * tree and heap see the same readyAt sequence.
+ * remote-miss long.
  */
-template <class Queue>
 void
-dispatchEvents(benchmark::State &state)
+BM_DispatchTree(benchmark::State &state)
 {
     constexpr unsigned numCpus = 32;
     Rng rng(5);
     std::vector<Cycles> latency(4096);
     for (auto &l : latency)
         l = rng.below(5) == 0 ? 100 + rng.below(400) : 1 + rng.below(8);
-    Queue ready(numCpus);
+    DispatchTree ready(numCpus);
     for (CpuId c = 0; c < numCpus; ++c)
         ready.schedule(c, 0);
     std::size_t i = 0;
@@ -137,20 +135,7 @@ dispatchEvents(benchmark::State &state)
     benchmark::DoNotOptimize(ready.next());
     state.SetItemsProcessed(state.iterations());
 }
-
-void
-BM_DispatchTree(benchmark::State &state)
-{
-    dispatchEvents<DispatchTree>(state);
-}
 BENCHMARK(BM_DispatchTree);
-
-void
-BM_DispatchHeap(benchmark::State &state)
-{
-    dispatchEvents<DispatchHeap>(state);
-}
-BENCHMARK(BM_DispatchHeap);
 
 void
 BM_LocalHitPath(benchmark::State &state)

@@ -1,11 +1,12 @@
 /**
  * @file
  * Perf smoke test for the per-reference simulation core: one fixed,
- * FLC-hit-heavy configuration simulated three ways — hit fast path
- * off, fast path on, and packed-trace replay (record once, then mmap
- * the reference stream back instead of re-running the workload
+ * FLC-hit-heavy configuration simulated three ways — hit fast filter
+ * off (checkLevel 2, every reference through the full protocol walk),
+ * filter on (the default), and packed-trace replay (record once, then
+ * mmap the reference stream back instead of re-running the workload
  * coroutines) — reporting host refs/sec for all three and asserting
- * that every mode produces identical statistics (speed knobs, never
+ * that every mode produces identical statistics (speed layers, never
  * model knobs).
  *
  * The exit status reflects only output identity: a perf regression
@@ -41,7 +42,7 @@ namespace
  * The measurement workload: each thread re-sweeps a private buffer
  * that fits its FLC, so after the first iteration nearly every read
  * is an FLC hit and nearly every write a silent store (AM Exclusive,
- * SLC hit) — the two cases the fast path accelerates. Threads carry
+ * SLC hit) — the two cases the fast filter accelerates. Threads carry
  * widely different compute phases (work grows with the thread id), so
  * event dispatch sees the asymmetric timing of real programs instead
  * of artificial lockstep.
@@ -96,14 +97,17 @@ class FlcResweepWorkload : public Workload
     std::vector<VAddr> bases_;
 };
 
-/** The fixed machine: tiny geometry with an FLC the buffer fits. */
+/**
+ * The fixed machine: tiny geometry with an FLC the buffer fits; with
+ * @p filter false, checkLevel 2 turns the fast filter off.
+ */
 MachineConfig
-perfConfig(bool fastPath)
+perfConfig(bool filter)
 {
     MachineConfig cfg = tinyConfig(Scheme::VCOMA);
     cfg.flc.sizeBytes = 8 * 1024;  // covers the 2 KB per-thread buffer
     cfg.slc.sizeBytes = 32 * 1024;
-    cfg.fastPath = fastPath;
+    cfg.checkLevel = filter ? 1 : 2;
     return cfg;
 }
 
@@ -162,10 +166,10 @@ measureRuns(const MachineConfig &cfg, Workload &workload, unsigned reps)
 }
 
 Measurement
-measureLive(bool fastPath, unsigned iterations, unsigned reps)
+measureLive(bool filter, unsigned iterations, unsigned reps)
 {
     Measurement best;
-    const MachineConfig cfg = perfConfig(fastPath);
+    const MachineConfig cfg = perfConfig(filter);
     for (unsigned rep = 0; rep < reps; ++rep) {
         // A fresh workload per rep: the coroutines are one-shot.
         FlcResweepWorkload w(cfg.numNodes, iterations);
@@ -202,10 +206,6 @@ measureKvLive(const MachineConfig &cfg, const WorkloadParams &wp,
 int
 main()
 {
-    // The config knob must control both runs even when the caller's
-    // environment pins the fast path one way or the other.
-    ::unsetenv("VCOMA_FASTPATH");
-
     vcoma_bench::BenchReport report("perf_core");
     std::cout << "V-COMA reproduction - perf smoke (per-reference "
                  "core)\n"
@@ -243,8 +243,8 @@ main()
 
     // Fourth mode: the pointer-chasing regime. KVLOOKUP's dependent
     // hash-chain chases are the opposite of the FLC-resweep's
-    // hit-heavy loop — mostly remote traffic the fast path cannot
-    // filter — so its live-vs-replay ratio tracks the batch-drain
+    // hit-heavy loop — mostly remote traffic the fast filter cannot
+    // resolve — so its live-vs-replay ratio tracks the batch-drain
     // replay loop's worth on datacenter streams specifically.
     Measurement kvLive;
     Measurement kvReplay;
@@ -273,9 +273,9 @@ main()
         std::filesystem::remove(kvTraceFile);
     }
 
-    std::cout << "fast path off: " << static_cast<std::uint64_t>(
-                     slow.refsPerSec) << " refs/sec\n"
-              << "fast path on:  " << static_cast<std::uint64_t>(
+    std::cout << "filter off:    " << static_cast<std::uint64_t>(
+                     slow.refsPerSec) << " refs/sec (checkLevel 2)\n"
+              << "filter on:     " << static_cast<std::uint64_t>(
                      fast.refsPerSec) << " refs/sec\n"
               << "trace replay:  " << static_cast<std::uint64_t>(
                      replay.refsPerSec) << " refs/sec\n"
@@ -304,8 +304,8 @@ main()
 
     bool ok = true;
     if (fast.json != slow.json || fast.dump != slow.dump) {
-        std::cerr << "FAIL: fast-path run diverged from the slow-path "
-                     "run\n";
+        std::cerr << "FAIL: filter-on run diverged from the filter-off "
+                     "(checkLevel 2) run\n";
         if (fast.json != slow.json)
             std::cerr << "RunStats JSON differs:\n  slow: " << slow.json
                       << "\n  fast: " << fast.json << "\n";
@@ -330,7 +330,7 @@ main()
     }
     if (!ok)
         return 1;
-    std::cout << "\n[statistics identical across slow path, fast path "
+    std::cout << "\n[statistics identical across filter off, filter on "
                  "and trace replay, live and replayed KVLOOKUP]\n";
     return 0;
 }

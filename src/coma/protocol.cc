@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 
 #include "common/bitops.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "sim/event_trace.hh"
 
@@ -34,11 +32,9 @@ CoherenceEngine::CoherenceEngine(const MachineConfig &cfg,
     // reference (L0, VICTIMA) declare fastReadFilter = false, L1
     // additionally excludes stores (TLB charge on FLC write-through),
     // and checkLevel >= 2 wants the version self-check on every
-    // cache hit.
-    const char *fp = std::getenv("VCOMA_FASTPATH");
-    fastConfigured_ = fp ? envTruthy("VCOMA_FASTPATH") : cfg_.fastPath;
-    fastReads_ = fastConfigured_ && traits_.fastReadFilter &&
-                 cfg_.checkLevel < 2;
+    // cache hit. That last gate makes a checkLevel 2 run the
+    // filter-off oracle the equivalence tests compare against.
+    fastReads_ = traits_.fastReadFilter && cfg_.checkLevel < 2;
     fastWrites_ = fastReads_ && traits_.fastWriteFilter;
     if (fastReads_) {
         fast_.resize(static_cast<std::size_t>(cfg_.numNodes) *
@@ -53,15 +49,6 @@ PageInfo &
 CoherenceEngine::residentPage(VAddr va, VAddr &paBase)
 {
     const PageNum vpn = layout_.vpn(va);
-    if (!fastConfigured_) {
-        // Pristine reference path: page-table walk per reference,
-        // for A/B comparison against the memoised core.
-        PageInfo &page = pageTable_.ensureResident(va);
-        paBase = traits_.hasPhysicalAddresses()
-                     ? static_cast<VAddr>(page.frame) << layout_.pageBits()
-                     : 0;
-        return page;
-    }
     PageCtx &ent = pageCtx_[vpn & (pageCtxSlots - 1)];
     if (ent.vpn == vpn && ent.epoch == xlatEpoch_ && ent.page->resident) {
         paBase = ent.paBase;

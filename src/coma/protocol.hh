@@ -143,16 +143,8 @@ class CoherenceEngine
         return true;
     }
 
-    /** Is the fast filter active for this machine (config+env gate)? */
+    /** Is the fast filter active (scheme and check-level gates)? */
     bool fastPathEnabled() const { return fastReads_; }
-
-    /**
-     * Is the core-speedup machinery configured on at all (config/env,
-     * before the structural scheme and check-level gates)? Controls
-     * the result-identical memoisation and dispatch layers that apply
-     * even where the hit filter itself cannot (e.g. L0).
-     */
-    bool fastPathConfigured() const { return fastConfigured_; }
 
     /**
      * Invariant sweep over the fast filter: every entry that the next
@@ -416,9 +408,7 @@ class CoherenceEngine
      * Filter/memo entries from an older epoch are dead.
      */
     std::uint64_t xlatEpoch_ = 0;
-    /** Core speedups (memoisation, tree dispatch) configured on at all. */
-    bool fastConfigured_ = false;
-    /** Fast filter active for reads (config+env, scheme, checkLevel). */
+    /** Fast filter active for reads (scheme, checkLevel). */
     bool fastReads_ = false;
     /** ... and for writes (additionally excludes L1's per-store TLB). */
     bool fastWrites_ = false;

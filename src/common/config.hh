@@ -168,7 +168,10 @@ struct MachineConfig
     /**
      * Coherence self-check level: 0 = off, 1 = verify versions at
      * attraction-memory/protocol touch points, 2 = verify on every
-     * processor reference (slow; used by tests).
+     * processor reference (slow; used by tests). Level 2 also turns
+     * off the engine's hit fast filter and replay drain, which makes
+     * it the filter-off oracle the equivalence tests compare against:
+     * its sheets equal the default run's byte for byte.
      */
     unsigned checkLevel = 1;
     /**
@@ -206,14 +209,6 @@ struct MachineConfig
      * when this field is 0.
      */
     Cycles watchdogCycles = 0;
-    /**
-     * Let the engine resolve FLC/SLC hits through its per-CPU fast
-     * filter instead of the full protocol walk. Strictly a simulator
-     * speed knob: results are identical either way (the equivalence
-     * suite enforces it), so it defaults on. A set VCOMA_FASTPATH
-     * environment variable overrides this field.
-     */
-    bool fastPath = true;
 
     /** Log2 of the page size. */
     unsigned pageBits() const { return exactLog2(pageBytes); }

@@ -39,6 +39,9 @@ using NodeId = std::uint32_t;
 /** Identifies one simulated processor (== its node in this machine). */
 using CpuId = std::uint32_t;
 
+/** Most nodes (so CPUs, trace threads) a machine has: copysets are u64. */
+constexpr unsigned maxNodes = 64;
+
 /**
  * Saturating addition over the Tick/Cycles domain: a sum that would
  * wrap pins at the maximum instead. Time comparisons (resource

@@ -1,27 +1,22 @@
 /**
  * @file
- * Event dispatch queues for Machine::run: which blocked processor
- * runs next. Both queues yield CPUs in lexicographic (readyAt, cpu)
- * order, the simulator's determinism contract (DESIGN.md decision 1).
+ * Event dispatch for Machine::run: which blocked processor runs next.
+ * DispatchTree yields CPUs in lexicographic (readyAt, cpu) order, the
+ * simulator's determinism contract (DESIGN.md decision 1).
  *
- * The loop protocol is shared so one loop body runs with either:
- * next() hands out the minimum, and before the following next() the
- * loop must either schedule() that CPU again or park() it (barrier,
- * lock queue, done). schedule() also wakes parked CPUs.
- *
- * DispatchHeap is the pristine reference order ($VCOMA_FASTPATH=0):
- * a std::priority_queue, one pop and one push per event.
- * DispatchTree is the fast-path queue: a fixed winner tree over the
- * CPUs, so re-keying the CPU just dispatched is one leaf-to-root walk
- * and a CPU that stays the minimum simply stays on top.
+ * The loop protocol: next() names the minimum, and before the
+ * following next() the loop must either schedule() that CPU again or
+ * park() it (barrier, lock queue, done). schedule() also wakes parked
+ * CPUs. The tree is a fixed winner tree over the CPUs, so re-keying
+ * the CPU just dispatched is one leaf-to-root walk and a CPU that
+ * stays the minimum simply stays on top. Its reference is a
+ * std::set<DispatchEntry> (tests/test_dispatch_queue.cc).
  */
 
 #ifndef VCOMA_SIM_DISPATCH_QUEUE_HH
 #define VCOMA_SIM_DISPATCH_QUEUE_HH
 
-#include <functional>
 #include <optional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -33,48 +28,12 @@ namespace vcoma
 /** A dispatch event: (readyAt, cpu), compared lexicographically. */
 using DispatchEntry = std::pair<Tick, CpuId>;
 
-/** Min-heap of (readyAt, cpu): the reference dispatch order. */
-class DispatchHeap
-{
-  public:
-    explicit DispatchHeap(unsigned numCpus)
-    {
-        std::vector<DispatchEntry> storage;
-        storage.reserve(numCpus);
-        heap_ = Heap(std::greater<>{}, std::move(storage));
-    }
-
-    bool empty() const { return heap_.empty(); }
-
-    /** Check out the minimum. */
-    DispatchEntry
-    next()
-    {
-        const DispatchEntry e = heap_.top();
-        heap_.pop();
-        return e;
-    }
-
-    /** Queue @p cpu (checked out or parked) at @p readyAt. */
-    void schedule(CpuId cpu, Tick readyAt) { heap_.emplace(readyAt, cpu); }
-
-    /** The checked-out @p cpu waits: next() already removed it. */
-    void park(CpuId) {}
-
-  private:
-    using Heap = std::priority_queue<DispatchEntry,
-                                     std::vector<DispatchEntry>,
-                                     std::greater<>>;
-    Heap heap_;
-};
-
 /**
  * Winner (tournament) tree over a fixed set of CPUs. Leaves sit in cpu
  * order; each internal node holds a copy of its subtree's winning
  * (readyAt, cpu). Every cpu in a left subtree is lower than every cpu
  * in its right sibling, so resolving a key tie to the left child is
- * exactly the heap's (readyAt, cpu) tie-break: one Tick compare per
- * level.
+ * exactly the (readyAt, cpu) tie-break: one Tick compare per level.
  *
  * A parked or finished CPU is absent: its presence bit is clear and
  * it loses to any present CPU. Absence is never encoded in the key,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <type_traits>
 
 #include "common/stats.hh"
 
@@ -72,8 +71,8 @@ Machine::Machine(const MachineConfig &cfg)
               nodes_),
       protection_(cfg_, layout_, pageTable_, directory_, network_, nodes_)
 {
-    if (cfg_.numNodes > 64)
-        fatal("copysets are 64-bit masks: at most 64 nodes");
+    if (cfg_.numNodes > maxNodes)
+        fatal("copysets are 64-bit masks: at most ", maxNodes, " nodes");
 
     // Preload pages at their home as they are first touched, and let
     // the page daemon keep every global set below the pressure
@@ -274,171 +273,156 @@ Machine::run(Workload &workload)
     const Cycles decayPeriod = cfg_.refBitDecayPeriod;
     Tick nextDecay = decayPeriod ? decayPeriod : ~Tick{0};
 
-    // The event loop, run with either dispatch queue (see
-    // sim/dispatch_queue.hh): every iteration dispatches the CPU with
-    // the smallest (readyAt, cpu), then schedules or parks it.
-    auto dispatch = [&](auto &ready) {
-        constexpr bool isTree =
-            std::is_same_v<std::decay_t<decltype(ready)>, DispatchTree>;
-        for (unsigned i = 0; i < numCpus; ++i)
-            ready.schedule(i, 0);
+    // The event loop: every iteration dispatches the CPU with the
+    // smallest (readyAt, cpu) (see sim/dispatch_queue.hh), then
+    // schedules or parks it.
+    DispatchTree ready(numCpus);
+    for (unsigned i = 0; i < numCpus; ++i)
+        ready.schedule(i, 0);
 
-        while (!ready.empty()) {
-            const auto [when, cpu] = ready.next();
-            Proc &proc = procs[cpu];
+    while (!ready.empty()) {
+        const auto [when, cpu] = ready.next();
+        Proc &proc = procs[cpu];
 
-            if (watchdogCycles != 0 && when > lastRetire + watchdogCycles) {
-                throw WatchdogError(
-                    detail::concat("watchdog: no memory reference "
-                                   "retired in the last ",
-                                   when - lastRetire, " cycles"),
-                    snapshot(when));
+        if (watchdogCycles != 0 && when > lastRetire + watchdogCycles) {
+            throw WatchdogError(
+                detail::concat("watchdog: no memory reference "
+                               "retired in the last ",
+                               when - lastRetire, " cycles"),
+                snapshot(when));
+        }
+
+        if (when >= nextDecay) {
+            // Catch up over a long busy gap in O(1): no reference bit
+            // is set between two decay points with no intervening
+            // accesses, so the skipped sweeps would find the bits
+            // already clear. One sweep, counted once per gap
+            // crossing.
+            pageTable_.clearReferenceBits();
+            ++refBitDecays_;
+            nextDecay +=
+                ((when - nextDecay) / decayPeriod + 1) * decayPeriod;
+        }
+        VCOMA_ASSERT(!proc.done);
+        VCOMA_ASSERT(when == proc.readyAt);
+
+        if (drainable && proc.cur != proc.end) {
+            // Replay turbo: hand the engine a whole run of this CPU's
+            // references in one call, with its loop invariants
+            // hoisted. The run stops once the CPU would no longer be
+            // the globally next event: past the runner-up in
+            // (readyAt, cpu) order, or at the next reference-bit
+            // decay point. So the dispatch order is exactly
+            // per-reference order.
+            Tick limit = nextDecay - 1;
+            if (const auto up = ready.runnerUp()) {
+                const auto [td, d] = *up;
+                limit = std::min(limit, cpu < d ? td : td - 1);
             }
-
-            if (when >= nextDecay) {
-                // Catch up over a long busy gap in O(1): no reference
-                // bit is set between two decay points with no
-                // intervening accesses, so the skipped sweeps would
-                // find the bits already clear. One sweep, counted
-                // once per gap crossing.
-                pageTable_.clearReferenceBits();
-                ++refBitDecays_;
-                nextDecay +=
-                    ((when - nextDecay) / decayPeriod + 1) * decayPeriod;
-            }
-            VCOMA_ASSERT(!proc.done);
-            VCOMA_ASSERT(when == proc.readyAt);
-
-            if constexpr (isTree) {
-                if (drainable && proc.cur != proc.end) {
-                    // Replay turbo: hand the engine a whole run of
-                    // this CPU's references in one call, with its loop
-                    // invariants hoisted. The run stops once the CPU
-                    // would no longer be the globally next event: past
-                    // the runner-up in (readyAt, cpu) order, or at the
-                    // next reference-bit decay point. So the dispatch
-                    // order is exactly per-reference order.
-                    Tick limit = nextDecay - 1;
-                    if (const auto up = ready.runnerUp()) {
-                        const auto [td, d] = *up;
-                        limit = std::min(limit, cpu < d ? td : td - 1);
-                    }
-                    const std::uint64_t n = engine_.fastDrainMaterialised(
-                        drainCtxs[cpu], cpu, proc.cur, proc.end,
-                        proc.readyAt, limit, busyScale, proc.stats.reads,
-                        proc.stats.writes, proc.stats.busy,
-                        proc.stats.locStall);
-                    if (n != 0) {
-                        proc.stats.refs += n;
-                        proc.lastRef = proc.cur - 1;
-                        lastRetire = std::max(lastRetire, proc.readyAt);
-                        ready.schedule(cpu, proc.readyAt);
-                        continue;
-                    }
-                    // The next reference cannot be fast-resolved: it
-                    // falls through to the ordinary path.
-                }
-            }
-
-            const MemRef *next;
-            if (materialised) {
-                if (proc.cur != proc.end) {
-                    next = proc.cur++;
-                    // The replay payload is sequential and mmapped:
-                    // ask for the block a few lines ahead so the
-                    // decode never waits on a page-cache read.
-#if defined(__GNUC__) || defined(__clang__)
-                    __builtin_prefetch(proc.cur + 10);
-#endif
-                } else {
-                    next = nullptr;
-                }
-            } else {
-                next = proc.program.nextPtr();
-            }
-            if (!next) {
-                proc.done = true;
-                proc.stats.finish = proc.readyAt;
-                --live;
-                ready.park(cpu);
+            const std::uint64_t n = engine_.fastDrainMaterialised(
+                drainCtxs[cpu], cpu, proc.cur, proc.end, proc.readyAt,
+                limit, busyScale, proc.stats.reads, proc.stats.writes,
+                proc.stats.busy, proc.stats.locStall);
+            if (n != 0) {
+                proc.stats.refs += n;
+                proc.lastRef = proc.cur - 1;
+                lastRetire = std::max(lastRetire, proc.readyAt);
+                ready.schedule(cpu, proc.readyAt);
                 continue;
             }
-
-            const MemRef &ref = *next;
-            proc.lastRef = next;
-            const Cycles work = ref.work * busyScale;
-            Tick t = proc.readyAt + work;
-            proc.stats.busy += work;
-
-            switch (ref.kind) {
-              case MemRef::Kind::Mem: {
-                AccessResult res;
-                if (!engine_.fastAccess(cpu, ref.type, ref.vaddr, t, res))
-                    res = engine_.access(cpu, ref.type, ref.vaddr, t);
-                proc.stats.locStall += res.local;
-                proc.stats.remStall += res.remote;
-                proc.stats.xlatStall += res.xlat;
-                ++proc.stats.refs;
-                if (ref.type == RefType::Read)
-                    ++proc.stats.reads;
-                else
-                    ++proc.stats.writes;
-                proc.readyAt = res.done;
-                lastRetire = std::max(lastRetire, res.done);
-                if (checker)
-                    creditInvariantSweep(1);
-                ready.schedule(cpu, proc.readyAt);
-                break;
-              }
-              case MemRef::Kind::Barrier: {
-                auto release = sync.arriveBarrier(ref.syncId, cpu, t);
-                // The last arriver is among the released waiters.
-                ready.park(cpu);
-                if (release) {
-                    for (const auto &[waiter, arrived] :
-                         release->waiters) {
-                        Proc &wp = procs[waiter];
-                        wp.stats.sync += release->releaseAt - arrived;
-                        wp.readyAt = release->releaseAt;
-                        ready.schedule(waiter, wp.readyAt);
-                    }
-                }
-                break;
-              }
-              case MemRef::Kind::LockAcquire: {
-                auto grant = sync.acquireLock(ref.syncId, cpu, t);
-                if (grant) {
-                    proc.stats.sync += *grant - t;
-                    proc.readyAt = *grant;
-                    ready.schedule(cpu, proc.readyAt);
-                } else {
-                    ready.park(cpu);
-                }
-                break;
-              }
-              case MemRef::Kind::LockRelease: {
-                auto grant = sync.releaseLock(ref.syncId, cpu, t);
-                proc.readyAt = t;
-                ready.schedule(cpu, proc.readyAt);
-                if (grant) {
-                    Proc &wp = procs[grant->cpu];
-                    wp.stats.sync += grant->grantedAt - grant->arrivedAt;
-                    wp.readyAt = grant->grantedAt;
-                    ready.schedule(grant->cpu, wp.readyAt);
-                }
-                break;
-              }
-            }
+            // The next reference cannot be fast-resolved: it falls
+            // through to the ordinary path.
         }
-    };
-    // $VCOMA_FASTPATH=0 keeps the heap: the pristine reference order
-    // the winner tree is tested and benchmarked against.
-    if (engine_.fastPathConfigured()) {
-        DispatchTree ready(numCpus);
-        dispatch(ready);
-    } else {
-        DispatchHeap ready(numCpus);
-        dispatch(ready);
+
+        const MemRef *next;
+        if (materialised) {
+            if (proc.cur != proc.end) {
+                next = proc.cur++;
+                // The replay payload is sequential and mmapped: ask
+                // for the block a few lines ahead so the decode never
+                // waits on a page-cache read.
+#if defined(__GNUC__) || defined(__clang__)
+                __builtin_prefetch(proc.cur + 10);
+#endif
+            } else {
+                next = nullptr;
+            }
+        } else {
+            next = proc.program.nextPtr();
+        }
+        if (!next) {
+            proc.done = true;
+            proc.stats.finish = proc.readyAt;
+            --live;
+            ready.park(cpu);
+            continue;
+        }
+
+        const MemRef &ref = *next;
+        proc.lastRef = next;
+        const Cycles work = ref.work * busyScale;
+        Tick t = proc.readyAt + work;
+        proc.stats.busy += work;
+
+        switch (ref.kind) {
+          case MemRef::Kind::Mem: {
+            AccessResult res;
+            if (!engine_.fastAccess(cpu, ref.type, ref.vaddr, t, res))
+                res = engine_.access(cpu, ref.type, ref.vaddr, t);
+            proc.stats.locStall += res.local;
+            proc.stats.remStall += res.remote;
+            proc.stats.xlatStall += res.xlat;
+            ++proc.stats.refs;
+            if (ref.type == RefType::Read)
+                ++proc.stats.reads;
+            else
+                ++proc.stats.writes;
+            proc.readyAt = res.done;
+            lastRetire = std::max(lastRetire, res.done);
+            if (checker)
+                creditInvariantSweep(1);
+            ready.schedule(cpu, proc.readyAt);
+            break;
+          }
+          case MemRef::Kind::Barrier: {
+            auto release = sync.arriveBarrier(ref.syncId, cpu, t);
+            // The last arriver is among the released waiters.
+            ready.park(cpu);
+            if (release) {
+                for (const auto &[waiter, arrived] :
+                     release->waiters) {
+                    Proc &wp = procs[waiter];
+                    wp.stats.sync += release->releaseAt - arrived;
+                    wp.readyAt = release->releaseAt;
+                    ready.schedule(waiter, wp.readyAt);
+                }
+            }
+            break;
+          }
+          case MemRef::Kind::LockAcquire: {
+            auto grant = sync.acquireLock(ref.syncId, cpu, t);
+            if (grant) {
+                proc.stats.sync += *grant - t;
+                proc.readyAt = *grant;
+                ready.schedule(cpu, proc.readyAt);
+            } else {
+                ready.park(cpu);
+            }
+            break;
+          }
+          case MemRef::Kind::LockRelease: {
+            auto grant = sync.releaseLock(ref.syncId, cpu, t);
+            proc.readyAt = t;
+            ready.schedule(cpu, proc.readyAt);
+            if (grant) {
+                Proc &wp = procs[grant->cpu];
+                wp.stats.sync += grant->grantedAt - grant->arrivedAt;
+                wp.readyAt = grant->grantedAt;
+                ready.schedule(grant->cpu, wp.readyAt);
+            }
+            break;
+          }
+        }
     }
 
     if (sync.parked() != 0 || live != 0) {

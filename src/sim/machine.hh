@@ -87,9 +87,9 @@ class Machine
     std::uint64_t invariantCheckInterval() const { return checkInterval_; }
 
     /**
-     * Is the engine's hit fast path active for this machine (the
-     * config/$VCOMA_FASTPATH knob after the structural scheme and
-     * check-level gates)?
+     * Is the engine's hit fast filter active for this machine? The
+     * scheme's structural gate decides, and checkLevel >= 2 turns it
+     * off (the filter-off oracle run).
      */
     bool fastPathActive() const { return engine_.fastPathEnabled(); }
 

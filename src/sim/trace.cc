@@ -10,6 +10,7 @@
 
 #include "common/logging.hh"
 #include "common/parse_number.hh"
+#include "common/types.hh"
 
 namespace vcoma
 {
@@ -149,6 +150,11 @@ TraceWorkload::TraceWorkload(std::istream &is, std::string name)
         if (f.size() > 2)
             fatal("trace line ", lineNo, ": trailing garbage '", f[2],
                   "' after thread count");
+        // Checked before perThread_ grows: a hostile header must not
+        // allocate billions of streams.
+        if (*n > maxNodes)
+            fatal("trace line ", lineNo, ": ", *n,
+                  " threads exceed the machine's ", maxNodes, " nodes");
         threads = *n;
     }
     perThread_.resize(threads);

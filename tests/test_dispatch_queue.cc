@@ -1,9 +1,8 @@
 /**
  * @file
- * The dispatch queues of Machine::run. The winner tree is pinned to a
- * std::set model of (readyAt, cpu) under random re-key, park and
- * unpark sequences, and to the reference heap under the event loop's
- * own protocol.
+ * Machine::run's dispatch queue. The winner tree is pinned to a
+ * std::set model of (readyAt, cpu), both under random re-key, park
+ * and unpark sequences and under the event loop's own protocol.
  */
 
 #include <gtest/gtest.h>
@@ -100,40 +99,42 @@ TEST(DispatchTree, SaturatedTickStillDispatchesInCpuOrder)
     EXPECT_TRUE(tree.empty());
 }
 
-TEST(DispatchQueues, TreeDispatchesInHeapOrder)
+TEST(DispatchQueues, TreeDispatchesInOrderedSetOrder)
 {
-    // Drive both queues through the event loop's protocol (dispatch
-    // the minimum, then re-key or park it, waking parked CPUs now and
-    // then) and require the same event sequence.
+    // Drive the tree through the event loop's protocol (dispatch the
+    // minimum, then re-key or park it, waking parked CPUs now and
+    // then) against a std::set of the present (readyAt, cpu) pairs,
+    // and require the same event sequence.
     constexpr unsigned n = 32;
-    DispatchHeap heap(n);
     DispatchTree tree(n);
+    std::set<DispatchEntry> model;
     for (CpuId c = 0; c < n; ++c) {
-        heap.schedule(c, 0);
+        model.insert({0, c});
         tree.schedule(c, 0);
     }
     std::vector<CpuId> parked;
     Rng rng(7);
-    for (int step = 0; step < 50000 && !heap.empty(); ++step) {
+    for (int step = 0; step < 50000 && !model.empty(); ++step) {
         ASSERT_FALSE(tree.empty());
-        const DispatchEntry e = heap.next();
+        const DispatchEntry e = *model.begin();
         ASSERT_EQ(tree.next(), e) << "step " << step;
+        model.erase(model.begin());
         const auto [when, cpu] = e;
         if (rng.below(8) == 0) {
-            heap.park(cpu);
             tree.park(cpu);
             parked.push_back(cpu);
         } else {
             const Tick t = when + rng.below(3);
-            heap.schedule(cpu, t);
+            model.insert({t, cpu});
             tree.schedule(cpu, t);
         }
         if (!parked.empty() && rng.below(4) == 0) {
             const CpuId w = parked.back();
             parked.pop_back();
             const Tick t = when + rng.below(5);
-            heap.schedule(w, t);
+            model.insert({t, w});
             tree.schedule(w, t);
         }
     }
+    EXPECT_EQ(tree.empty(), model.empty());
 }

@@ -1,21 +1,38 @@
 /**
  * @file
- * Equivalence tests for the hit fast path: a simulation with the
- * fast path enabled must be indistinguishable — every RunStats field,
- * every component counter — from the same simulation with the fast
- * path disabled. The fast path is a speed knob, never a model knob.
+ * Oracle tests for the per-reference core's speed layers: the fast
+ * filter, the replay drain, winner-tree dispatch, the page memo and
+ * the TLB/DLB lanes. None of them may move a sheet byte.
+ *
+ * The filter and the drain are pinned at run time: every case's
+ * default run must match a checkLevel 2 run, which turns the filter
+ * off and sends every reference through CoherenceEngine::access().
+ * The layers checkLevel 2 keeps are pinned by the digest manifest
+ * (tests/golden/digests.txt): each kernel x scheme x {timed, untimed}
+ * case's default-run writeRunStatsJson() sheet and dumpStats() text
+ * must hash to the recorded FNV-1a/64 digests. A moved case prints
+ * its old and new digests and the replacement line; with
+ * VCOMA_UPDATE_GOLDENS set the case rewrites its line instead.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "sim/machine.hh"
 #include "sim/run_stats_json.hh"
@@ -40,35 +57,35 @@ struct RunResult
     bool fastPathActive = false;
 };
 
+/** The check level that turns the fast filter off (the oracle run). */
+constexpr unsigned deepCheck = 2;
+
 /**
  * The tiny test machine on @p nodes CPUs. Past 16 nodes the
  * attraction memories grow with the node count so every home node
  * still owns a page colour; they stay small enough to keep the
- * machine contended.
+ * machine contended. An untimed machine runs its TLB/DLB in lanes.
  */
 MachineConfig
-testConfig(Scheme scheme, unsigned nodes, bool fastPath)
+testConfig(Scheme scheme, unsigned nodes, bool timed = true,
+           unsigned checkLevel = 1)
 {
     MachineConfig cfg = tinyConfig(scheme);
     cfg.numNodes = nodes;
     if (nodes > 16)
         cfg.am.sizeBytes *= nodes / 16;
-    cfg.fastPath = fastPath;
+    cfg.timedTranslation = timed;
+    cfg.checkLevel = checkLevel;
     return cfg;
 }
 
+/** Run @p workload on @p cfg and keep both sheets. */
 RunResult
-runOnce(Scheme scheme, const std::string &workload, bool fastPath,
-        unsigned nodes)
+sheet(const MachineConfig &cfg, Workload &workload)
 {
-    const MachineConfig cfg = testConfig(scheme, nodes, fastPath);
     Machine machine(cfg);
-    WorkloadParams p;
-    p.threads = cfg.numNodes;
-    p.scale = 0.02;
-    auto w = makeWorkload(workload, p);
     RunResult r;
-    r.stats = machine.run(*w);
+    r.stats = machine.run(workload);
     std::ostringstream dump;
     machine.dumpStats(dump);
     r.dump = dump.str();
@@ -77,6 +94,107 @@ runOnce(Scheme scheme, const std::string &workload, bool fastPath,
     r.json = json.str();
     r.fastPathActive = machine.fastPathActive();
     return r;
+}
+
+RunResult
+runOnce(const MachineConfig &cfg, const std::string &workload)
+{
+    WorkloadParams p;
+    p.threads = cfg.numNodes;
+    p.scale = 0.02;
+    auto w = makeWorkload(workload, p);
+    return sheet(cfg, *w);
+}
+
+/** FNV-1a/64 of @p bytes, as 16 hex digits. */
+std::string
+fnv1a64(std::string_view bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+/**
+ * Parse manifest text: "# ..." comment lines, then one
+ * "<case> <json digest> <dump digest>" line per case.
+ */
+std::map<std::string, std::string>
+parseManifest(std::istream &is, std::string *comments = nullptr)
+{
+    std::map<std::string, std::string> cases;
+    std::string line;
+    while (std::getline(is, line)) {
+        if (line.empty() || line[0] == '#') {
+            if (comments)
+                *comments += line + "\n";
+            continue;
+        }
+        const auto sp = line.find(' ');
+        cases[line.substr(0, sp)] =
+            sp == std::string::npos ? "" : line.substr(sp + 1);
+    }
+    return cases;
+}
+
+const std::map<std::string, std::string> &
+manifest()
+{
+    static const std::map<std::string, std::string> cases = [] {
+        std::ifstream is(VCOMA_DIGEST_MANIFEST);
+        return parseManifest(is);
+    }();
+    return cases;
+}
+
+/**
+ * Set @p name's line to @p digests in the manifest file. ctest runs
+ * the cases as parallel processes, so the read-modify-write holds an
+ * exclusive lock on the file; lines stay sorted by case name.
+ */
+void
+rewriteManifestLine(const std::string &name, const std::string &digests)
+{
+    const int fd = ::open(VCOMA_DIGEST_MANIFEST, O_RDWR | O_CREAT, 0644);
+    ASSERT_GE(fd, 0) << VCOMA_DIGEST_MANIFEST;
+    ASSERT_EQ(::flock(fd, LOCK_EX), 0);
+    std::string comments;
+    std::ifstream is(VCOMA_DIGEST_MANIFEST);
+    auto cases = parseManifest(is, &comments);
+    cases[name] = digests;
+    std::string text = comments;
+    for (const auto &[c, d] : cases)
+        text += c + " " + d + "\n";
+    EXPECT_EQ(::ftruncate(fd, 0), 0);
+    EXPECT_EQ(::pwrite(fd, text.data(), text.size(), 0),
+              static_cast<ssize_t>(text.size()));
+    ::close(fd);
+}
+
+/** @p r's sheets must hash to case @p name's manifest digests. */
+void
+expectManifestDigests(const std::string &name, const RunResult &r)
+{
+    const std::string got = fnv1a64(r.json) + " " + fnv1a64(r.dump);
+    const auto it = manifest().find(name);
+    if (it != manifest().end() && it->second == got)
+        return;
+    if (std::getenv("VCOMA_UPDATE_GOLDENS")) {
+        rewriteManifestLine(name, got);
+        return;
+    }
+    ADD_FAILURE() << "case " << name << " moved in "
+                  << VCOMA_DIGEST_MANIFEST << "\n  old: "
+                  << (it == manifest().end() ? "(missing)" : it->second)
+                  << "\n  new: " << got << "\nreplacement line:\n"
+                  << name << " " << got
+                  << "\n(VCOMA_UPDATE_GOLDENS=1 rewrites it)";
 }
 
 /** Field-by-field comparison with readable failure messages. */
@@ -111,33 +229,40 @@ expectSameStats(const RunStats &fast, const RunStats &slow)
             << "cpu " << i;
     }
 }
-
 /**
- * Fast path on (winner-tree dispatch, fast filter, replay drain)
- * against fast path off (the reference heap loop) on @p nodes CPUs:
- * every sheet byte must match.
+ * The default run (fast filter on where the scheme allows it) against
+ * the checkLevel 2 run (filter off) of @p workload on @p nodes CPUs:
+ * every sheet byte must match, and the default sheets must hash to
+ * the manifest's digests for the case.
  */
 void
 expectFastPathEquivalence(Scheme scheme, const std::string &workload,
-                          unsigned nodes)
+                          unsigned nodes, bool timed)
 {
-    const RunResult fast = runOnce(scheme, workload, true, nodes);
-    const RunResult slow = runOnce(scheme, workload, false, nodes);
+    const RunResult fast =
+        runOnce(testConfig(scheme, nodes, timed), workload);
+    const RunResult deep =
+        runOnce(testConfig(scheme, nodes, timed, deepCheck), workload);
 
-    // The knob must actually gate the path (schemes translating
-    // before the FLC, L0 and VICTIMA, are structurally excluded:
-    // their per-reference TLB charge leaves no pure hit).
-    EXPECT_FALSE(slow.fastPathActive);
+    // The check level must actually gate the filter (schemes
+    // translating before the FLC, L0 and VICTIMA, are structurally
+    // excluded: their per-reference TLB charge leaves no pure hit).
+    EXPECT_FALSE(deep.fastPathActive);
     EXPECT_EQ(fast.fastPathActive, schemeTraits(scheme).fastReadFilter);
 
-    expectSameStats(fast.stats, slow.stats);
+    expectSameStats(fast.stats, deep.stats);
     // The JSON line carries every RunStats field (shadow sweep,
     // pressure profile, latency summaries): require exact identity,
     // which is also what $VCOMA_STATS_JSON consumers would diff.
-    EXPECT_EQ(fast.json, slow.json);
+    EXPECT_EQ(fast.json, deep.json);
     // And the full component hierarchy: per-node cache/AM/TLB/network
     // counters must match, not just the aggregated sheet.
-    EXPECT_EQ(fast.dump, slow.dump);
+    EXPECT_EQ(fast.dump, deep.dump);
+
+    expectManifestDigests(std::to_string(nodes) + "/" +
+                              std::string(schemeName(scheme)) + "/" +
+                              workload + (timed ? "/timed" : "/untimed"),
+                          fast);
 }
 
 std::string
@@ -157,15 +282,16 @@ caseName(Scheme scheme, const std::string &workload)
 } // namespace
 
 using Case = std::tuple<Scheme, std::string>;
+using TimedCase = std::tuple<Scheme, std::string, bool>;
 
-class FastPathEquivalence : public ::testing::TestWithParam<Case>
+class FastPathEquivalence : public ::testing::TestWithParam<TimedCase>
 {
 };
 
 TEST_P(FastPathEquivalence, IdenticalStatsOnAndOff)
 {
-    const auto [scheme, workload] = GetParam();
-    expectFastPathEquivalence(scheme, workload, 4);
+    const auto [scheme, workload, timed] = GetParam();
+    expectFastPathEquivalence(scheme, workload, 4, timed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -174,9 +300,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("RADIX", "FFT", "FMM", "OCEAN",
                                          "RAYTRACE", "BARNES", "UNIFORM",
                                          "STRIDE", "HOTSPOT", "KVLOOKUP",
-                                         "GRAPH", "STREAMJOIN")),
-    [](const ::testing::TestParamInfo<Case> &info) {
-        return caseName(std::get<0>(info.param), std::get<1>(info.param));
+                                         "GRAPH", "STREAMJOIN"),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<TimedCase> &info) {
+        return caseName(std::get<0>(info.param), std::get<1>(info.param)) +
+               (std::get<2>(info.param) ? "" : "_untimed");
     });
 
 /**
@@ -192,7 +320,7 @@ class FastPathEquivalence32 : public ::testing::TestWithParam<Case>
 TEST_P(FastPathEquivalence32, IdenticalStatsOnAndOff)
 {
     const auto [scheme, workload] = GetParam();
-    expectFastPathEquivalence(scheme, workload, 32);
+    expectFastPathEquivalence(scheme, workload, 32, true);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -206,11 +334,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
 {
-    // Record a trace once, then replay it twice — fast path on and
-    // off — and require identical stats sheets. The replay goes
-    // through TraceWorkload's parser, so this also round-trips the
-    // trace text format; its streams are materialised, so the fast
-    // run also covers the replay drain on text traces.
+    // Record a trace once, then replay it twice — filter on and off
+    // (checkLevel 2) — and require identical stats sheets. The replay
+    // goes through TraceWorkload's parser, so this also round-trips
+    // the trace text format; its streams are materialised, so the
+    // default run also covers the replay drain on text traces.
     WorkloadParams p;
     p.threads = 4;
     p.scale = 0.02;
@@ -219,37 +347,26 @@ TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
     const std::uint64_t events = recordTrace(*recorded, trace);
     ASSERT_GT(events, 0u);
 
-    auto replayOnce = [&](bool fastPath) {
-        MachineConfig cfg = tinyConfig(Scheme::VCOMA);
-        cfg.fastPath = fastPath;
-        Machine machine(cfg);
+    auto replayOnce = [&](unsigned checkLevel) {
         std::istringstream is(trace.str());
         TraceWorkload w(is);
         EXPECT_TRUE(w.materialised());
-        RunResult r;
-        r.stats = machine.run(w);
-        std::ostringstream dump;
-        machine.dumpStats(dump);
-        r.dump = dump.str();
-        std::ostringstream json;
-        writeRunStatsJson(json, r.stats);
-        r.json = json.str();
-        return r;
+        return sheet(testConfig(Scheme::VCOMA, 4, true, checkLevel), w);
     };
-    const RunResult fast = replayOnce(true);
-    const RunResult slow = replayOnce(false);
-    expectSameStats(fast.stats, slow.stats);
-    EXPECT_EQ(fast.json, slow.json);
-    EXPECT_EQ(fast.dump, slow.dump);
+    const RunResult fast = replayOnce(1);
+    const RunResult deep = replayOnce(deepCheck);
+    expectSameStats(fast.stats, deep.stats);
+    EXPECT_EQ(fast.json, deep.json);
+    EXPECT_EQ(fast.dump, deep.dump);
 }
 
 TEST(FastPathTrace, PackedReplayAt32NodesIsIdentical)
 {
     // Record a packed trace of a live 32-node run, then replay it
-    // fast path on (the winner tree bounds each replay drain by the
-    // runner-up) and off (the reference heap, no drain): both replays
-    // must reproduce the live sheet byte for byte. RAYTRACE's tiles
-    // follow lock grants; OCEAN and BARNES are barrier-heavy.
+    // filter on (the winner tree bounds each replay drain by the
+    // runner-up) and off (checkLevel 2, no drain): both replays must
+    // reproduce the live sheet byte for byte. RAYTRACE's tiles follow
+    // lock grants; OCEAN and BARNES are barrier-heavy.
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
         ("vcoma_test_fastpath_" + std::to_string(::getpid()));
@@ -257,18 +374,6 @@ TEST(FastPathTrace, PackedReplayAt32NodesIsIdentical)
     for (const std::string workload : {"RAYTRACE", "OCEAN", "BARNES"}) {
         SCOPED_TRACE(workload);
         const std::string trace = (dir / (workload + ".vctrace")).string();
-        auto sheet = [](const MachineConfig &cfg, Workload &w) {
-            Machine machine(cfg);
-            RunResult r;
-            r.stats = machine.run(w);
-            std::ostringstream dump;
-            machine.dumpStats(dump);
-            r.dump = dump.str();
-            std::ostringstream json;
-            writeRunStatsJson(json, r.stats);
-            r.json = json.str();
-            return r;
-        };
 
         WorkloadParams p;
         p.threads = 32;
@@ -276,40 +381,77 @@ TEST(FastPathTrace, PackedReplayAt32NodesIsIdentical)
         auto live = makeWorkload(workload, p);
         RecordingWorkload recorder(*live, trace, "fastpath-test");
         const RunResult recorded =
-            sheet(testConfig(Scheme::VCOMA, 32, true), recorder);
+            sheet(testConfig(Scheme::VCOMA, 32), recorder);
         ASSERT_TRUE(recorder.finalize());
 
-        for (const bool fastPath : {true, false}) {
+        for (const unsigned checkLevel : {1u, deepCheck}) {
             ReplayWorkload replay(trace);
-            const RunResult r =
-                sheet(testConfig(Scheme::VCOMA, 32, fastPath), replay);
+            const RunResult r = sheet(
+                testConfig(Scheme::VCOMA, 32, true, checkLevel), replay);
             expectSameStats(r.stats, recorded.stats);
-            EXPECT_EQ(r.json, recorded.json) << "fastPath " << fastPath;
-            EXPECT_EQ(r.dump, recorded.dump) << "fastPath " << fastPath;
+            EXPECT_EQ(r.json, recorded.json) << "checkLevel " << checkLevel;
+            EXPECT_EQ(r.dump, recorded.dump) << "checkLevel " << checkLevel;
         }
     }
     std::filesystem::remove_all(dir);
 }
 
-TEST(FastPathEnv, EnvOverridesConfig)
+TEST(FastPathTrace, DrainYieldsTickTiesToLowerCpu)
 {
-    // $VCOMA_FASTPATH beats MachineConfig::fastPath in both
-    // directions.
-    setenv("VCOMA_FASTPATH", "0", 1);
-    {
-        MachineConfig cfg = tinyConfig(Scheme::VCOMA);
-        cfg.fastPath = true;
-        Machine machine(cfg);
-        EXPECT_FALSE(machine.fastPathActive());
+    // After a barrier, CPU 1 drains FLC read hits of block X, one
+    // tick each (busyScale 1, flcHit 0), while CPU 0 spends exactly
+    // `pairs` uncontended lock round trips before writing X. CPU 1's
+    // last read lands on CPU 0's write tick, and the tie belongs to
+    // CPU 0: its write invalidates X first, so that read must miss.
+    // A drain bound one tick too loose turns it into a hit.
+    constexpr unsigned pairs = 50;
+    constexpr Cycles lockTransfer = 40;
+    std::ostringstream trace;
+    trace << "vcoma-trace-v1\nthreads 2\n"
+          << "1 R 0x1000 0\n0 B 1\n1 B 1\n";
+    for (unsigned i = 0; i < pairs; ++i)
+        trace << "0 L 1\n0 U 1\n";
+    trace << "0 W 0x1000 0\n";
+    for (Cycles i = 0; i <= pairs * lockTransfer; ++i)
+        trace << "1 R 0x1000 1\n";
+
+    auto replayOnce = [&](unsigned checkLevel) {
+        MachineConfig cfg = testConfig(Scheme::VCOMA, 2, true, checkLevel);
+        cfg.busyScale = 1;
+        cfg.timing.flcHit = 0;
+        cfg.timing.lockTransfer = lockTransfer;
+        std::istringstream is(trace.str());
+        TraceWorkload w(is);
+        return sheet(cfg, w);
+    };
+    const RunResult fast = replayOnce(1);
+    const RunResult deep = replayOnce(deepCheck);
+    expectSameStats(fast.stats, deep.stats);
+    EXPECT_EQ(fast.json, deep.json);
+    EXPECT_EQ(fast.dump, deep.dump);
+}
+
+TEST(FastPathDecay, FastHitsKeepReferenceBits)
+{
+    // The reference-bit decay daemon (off by default, so the
+    // equivalence grid never runs it) clears every page's bit; a page
+    // touched afterwards only through fast-filter hits must be marked
+    // referenced again, or the page daemon's next swap victim moves.
+    // FMM and OCEAN swap pages out on the tiny machine.
+    for (const std::string workload : {"FMM", "OCEAN"}) {
+        SCOPED_TRACE(workload);
+        auto decaying = [](unsigned checkLevel) {
+            MachineConfig cfg = testConfig(Scheme::VCOMA, 4, true, checkLevel);
+            cfg.refBitDecayPeriod = 20000;
+            return cfg;
+        };
+        const RunResult fast = runOnce(decaying(1), workload);
+        const RunResult deep = runOnce(decaying(deepCheck), workload);
+        EXPECT_GT(fast.stats.swapOuts, 0u);
+        expectSameStats(fast.stats, deep.stats);
+        EXPECT_EQ(fast.json, deep.json);
+        EXPECT_EQ(fast.dump, deep.dump);
     }
-    setenv("VCOMA_FASTPATH", "1", 1);
-    {
-        MachineConfig cfg = tinyConfig(Scheme::VCOMA);
-        cfg.fastPath = false;
-        Machine machine(cfg);
-        EXPECT_TRUE(machine.fastPathActive());
-    }
-    unsetenv("VCOMA_FASTPATH");
 }
 
 TEST(FastPathCheckLevel, DeepCheckingDisablesFastPath)
@@ -317,7 +459,6 @@ TEST(FastPathCheckLevel, DeepCheckingDisablesFastPath)
     // checkLevel >= 2 runs checkVersion on FLC read hits; the fast
     // path must step aside rather than skip the check.
     MachineConfig cfg = tinyConfig(Scheme::VCOMA);
-    cfg.fastPath = true;
     cfg.checkLevel = 2;
     Machine machine(cfg);
     EXPECT_FALSE(machine.fastPathActive());

@@ -3,8 +3,9 @@
  * Byte-identity tests for packed-trace record/replay: a simulation
  * replayed from a recorded trace must be indistinguishable — every
  * RunStats field, every component counter, the stats JSON byte for
- * byte — from the live run that recorded it, with the fast path both
- * on and off. Replay is a speed knob, never a model knob.
+ * byte — from the live run that recorded it, with the fast filter both
+ * on (the default) and off (checkLevel 2). Replay is a speed knob,
+ * never a model knob.
  *
  * Also covers the Runner integration ($VCOMA_TRACE_DIR): the first
  * execution records, later executions replay, and an unusable trace
@@ -110,11 +111,11 @@ runMachine(const MachineConfig &cfg, Workload &workload)
 
 /** Live run of @p workload, recorded into @p tracePath. */
 RunResult
-runLiveRecording(const std::string &workload, bool fastPath,
+runLiveRecording(const std::string &workload, unsigned checkLevel,
                  const std::string &tracePath)
 {
     MachineConfig cfg = tinyConfig(Scheme::VCOMA);
-    cfg.fastPath = fastPath;
+    cfg.checkLevel = checkLevel;
     WorkloadParams p;
     p.threads = cfg.numNodes;
     p.scale = 0.02;
@@ -126,10 +127,10 @@ runLiveRecording(const std::string &workload, bool fastPath,
 }
 
 RunResult
-runReplay(bool fastPath, const std::string &tracePath)
+runReplay(unsigned checkLevel, const std::string &tracePath)
 {
     MachineConfig cfg = tinyConfig(Scheme::VCOMA);
-    cfg.fastPath = fastPath;
+    cfg.checkLevel = checkLevel;
     ReplayWorkload replay(tracePath);
     return runMachine(cfg, replay);
 }
@@ -144,16 +145,16 @@ class ReplayIdentity : public ::testing::TestWithParam<Case>
 
 TEST_P(ReplayIdentity, ReplayedRunIsByteIdenticalToLiveRun)
 {
-    const auto [workload, fastPath] = GetParam();
-    // The config knob must decide the path, not the caller's
-    // environment.
-    EnvGuard env("VCOMA_FASTPATH", nullptr);
+    const auto [workload, fast] = GetParam();
+    // "_slow" cases run checkLevel 2, which turns the fast filter and
+    // the replay drain off.
+    const unsigned checkLevel = fast ? 1 : 2;
 
     TempDir dir;
     const std::string trace = (dir.path / "run.vctrace").string();
-    const RunResult live = runLiveRecording(workload, fastPath, trace);
+    const RunResult live = runLiveRecording(workload, checkLevel, trace);
     ASSERT_TRUE(std::filesystem::exists(trace));
-    const RunResult replayed = runReplay(fastPath, trace);
+    const RunResult replayed = runReplay(checkLevel, trace);
 
     // The JSON line carries every RunStats field and the dump the
     // full per-component counter hierarchy: exact string identity is

@@ -110,6 +110,10 @@ TEST(Trace, RejectsMalformedInput)
     for (const char *text : {
              "not-a-trace\n",
              "vcoma-trace-v1\nthreads 0\n",
+             // More threads than a machine has nodes: rejected before
+             // the per-thread streams are allocated.
+             "vcoma-trace-v1\nthreads 65\n",
+             "vcoma-trace-v1\nthreads 4294967295\n",
              "vcoma-trace-v1\nthreads 2\n5 R 100 1\n",
              "vcoma-trace-v1\nthreads 2\n0 X 1\n",
              // Negative and out-of-range numbers must be rejected,

@@ -171,8 +171,13 @@ def _check_knob(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"knob {name!r} wants {want.__name__}, "
                         f"got {value!r}")
+    # JSON admits Infinity, NaN (which fails every comparison) and
+    # 1e999; vcoma_client takes none of them.
+    if not abs(value) < 2 ** 64:
+        raise SpecError(f"knob {name!r} wants a finite number below "
+                        f"2**64, got {value!r}")
     if want is int:
-        if float(value) != int(value):
+        if isinstance(value, float) and not value.is_integer():
             raise SpecError(f"knob {name!r} wants an integer, "
                             f"got {value!r}")
         return int(value)
@@ -301,8 +306,11 @@ class Sweep:
         for name, value in defaults.items():
             self.scalars.setdefault(name, value)
 
+        overrides = obj.get("overrides", [])
+        if not isinstance(overrides, list):
+            raise SpecError(f"sweep {self.id!r}: overrides must be a list")
         self.overrides = []
-        for j, ov in enumerate(obj.get("overrides", [])):
+        for j, ov in enumerate(overrides):
             if (not isinstance(ov, dict)
                     or set(ov) - {"match", "set"}
                     or not isinstance(ov.get("match"), dict)
@@ -377,7 +385,7 @@ class Figure:
             raise SpecError(f"figures[{index}]: type must be one of "
                             + ", ".join(FIGURE_TYPES))
         self.sweep = obj.get("sweep")
-        if self.sweep not in sweep_ids:
+        if not isinstance(self.sweep, str) or self.sweep not in sweep_ids:
             raise SpecError(f"figures[{index}]: sweep {self.sweep!r} is "
                             "not declared")
         self.title = obj.get("title", "")
@@ -386,7 +394,7 @@ class Figure:
         self.scheme = (canonical_scheme(obj["scheme"])
                        if "scheme" in obj else None)
         self.x = obj.get("x", "entries")
-        if self.x not in KNOBS:
+        if not isinstance(self.x, str) or self.x not in KNOBS:
             raise SpecError(f"figures[{index}]: x must name a knob")
 
 
@@ -418,8 +426,11 @@ class Spec:
         ids = [s.id for s in self.sweeps]
         if len(set(ids)) != len(ids):
             raise SpecError(f"spec: duplicate sweep ids in {ids}")
+        figures = obj.get("figures", [])
+        if not isinstance(figures, list):
+            raise SpecError("spec: figures must be a list")
         self.figures = [Figure(f, set(ids), i)
-                        for i, f in enumerate(obj.get("figures", []))]
+                        for i, f in enumerate(figures)]
         files = [f.file for f in self.figures]
         if len(set(files)) != len(files):
             raise SpecError(f"spec: duplicate figure files in {files}")

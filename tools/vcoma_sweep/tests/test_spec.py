@@ -1,7 +1,10 @@
 """Spec grammar: expansion, overrides, rejection, key mirroring."""
 
+import copy
 import json
+import math
 import os
+import random
 import tempfile
 import unittest
 
@@ -250,6 +253,90 @@ class LoadSpecTest(unittest.TestCase):
             with self.assertRaisesRegex(M.SpecError, "not valid JSON"):
                 M.load_spec(p)
 
+
+STOCK_SPECS = ("smoke.json", "paper_grid.json", "datacenter_grid.json",
+               "modern_showdown.json")
+#: what a structural mutation puts in place of a node.
+REPLACEMENTS = (None, True, False, 0, -1, 0.5, math.inf, -math.inf,
+                math.nan, 2 ** 70, "", "RADIX", [], [1, "x"], {},
+                {"k": 1})
+
+
+def _nodes(obj, path=()):
+    """Every node of a JSON tree, as a path of keys/indices."""
+    yield path
+    children = (obj.items() if isinstance(obj, dict)
+                else enumerate(obj) if isinstance(obj, list) else ())
+    for k, v in children:
+        yield from _nodes(v, path + (k,))
+
+
+class SpecFuzzTest(unittest.TestCase):
+    """Mutated stock specs fail closed: every rejection is a SpecError,
+    and an accepted spec expands to finite knob values only."""
+
+    def setUp(self):
+        self.stock = []
+        for name in STOCK_SPECS:
+            with open(M._package_spec_path(name), "rb") as f:
+                self.stock.append(f.read())
+
+    def check(self, what, load):
+        try:
+            configs = load().expand()
+        except M.SpecError:
+            return
+        except Exception as e:  # noqa: BLE001 -- the point of the test
+            self.fail(f"{what}: {type(e).__name__}: {e}")
+        for cfg in configs:
+            for name, value in cfg.knobs.items():
+                self.assertTrue(math.isfinite(value), f"{what}: {name}")
+
+    def test_byte_mutations(self):
+        rng = random.Random(18)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "fuzz.json")
+            for i in range(2000):
+                data = bytearray(rng.choice(self.stock))
+                at = rng.randrange(len(data))
+                op = rng.choice(("flip", "delete", "insert", "truncate"))
+                if op == "flip":
+                    data[at] ^= 1 << rng.randrange(8)
+                elif op == "insert":
+                    data.insert(at, rng.randrange(256))
+                else:
+                    del data[at:at + 1 if op == "delete" else None]
+                with open(path, "wb") as f:
+                    f.write(data)
+                self.check(f"byte mutation {i} ({op} at {at})",
+                           lambda: M.load_spec(path))
+
+    def test_structural_mutations(self):
+        rng = random.Random(19)
+        stock = [json.loads(b) for b in self.stock]
+        for i in range(2000):
+            obj = copy.deepcopy(rng.choice(stock))
+            *up, last = rng.choice(list(_nodes(obj))[1:])
+            parent = obj
+            for k in up:
+                parent = parent[k]
+            parent[last] = copy.deepcopy(rng.choice(REPLACEMENTS))
+            self.check(f"structural mutation {i} ({up} {last!r} -> "
+                       f"{parent[last]!r})", lambda: M.Spec(obj))
+
+    def test_found_defects_fail_closed(self):
+        """The fuzz's finds, pinned one by one."""
+        sweep = {"id": "s", "workloads": ["RADIX"], "schemes": ["L0"]}
+        fig = {"file": "f.svg", "type": "miss_curves", "sweep": "s"}
+        knobs = ({"entries": math.inf}, {"entries": math.nan},
+                 {"scale": math.inf}, {"scale": [0.1, math.nan]},
+                 {"scale": 10 ** 400})
+        for kw in ([{"sweeps": [dict(sweep, knobs=k)]} for k in knobs]
+                   + [{"sweeps": [dict(sweep, overrides=True)]},
+                      {"figures": 1.5}, {"figures": [dict(fig, x=[])]},
+                      {"figures": [dict(fig, sweep=["s"])]}]):
+            with self.assertRaises(M.SpecError, msg=repr(kw)):
+                make_spec(**kw)
 
 if __name__ == "__main__":
     unittest.main()
