@@ -289,8 +289,8 @@ InvariantChecker::checkTranslationResidency(
             check(*node.tlbSpill, /*isDlb=*/false);
         if (node.dlb)
             check(node.dlb->tlb(), /*isDlb=*/true);
-        // Lanes are the configured structure at other sizes: purgePage
-        // shoots them down too.
+        // Lanes are the sibling configs' TLBs and DLBs, whatever the
+        // configured scheme: purgePage shoots them down too.
         if (node.tlbLanes) {
             node.tlbLanes->forEachEntry([&](unsigned entries, PageNum vpn) {
                 checkVpn(std::to_string(entries) + "-entry TLB lane", false,

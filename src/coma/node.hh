@@ -23,17 +23,33 @@
 namespace vcoma
 {
 
+/** One lane: a sibling config's translation structure (see siblingLanes()). */
+struct Lane
+{
+    Scheme scheme;
+    unsigned entries;
+};
+
 /**
- * The entry counts at which a config's configured TLB/DLB also runs,
- * as *lanes*, in one simulation: every size of shadowSizes() other
- * than the configured one. Empty unless translation is untimed (so
- * the structure's contents cannot change timing, hence the reference
- * stream), the scheme spills no TLB victims (VICTIMA's spill contents
- * depend on the TLB size), and the organisation is fully associative
- * or direct-mapped (what the lanes model). NMT has lanes too: with no
+ * The sibling configs one simulation of @p cfg also serves, as
+ * *lanes*, in scheme (enum) then size order. Empty unless translation
+ * is untimed (so no structure's contents can change timing, hence the
+ * reference stream), the scheme spills no TLB victims (VICTIMA's spill
+ * contents depend on the TLB size), and the organisation is fully
+ * associative or direct-mapped (what the lanes model).
+ *
+ * A config's siblings are every size of shadowSizes() under every
+ * scheme of its class, less the config itself. A scheme whose FLC,
+ * SLC and attraction memory are all virtually indexed (L3-TLB,
+ * V-COMA, NMT) indexes every cache by the virtual address and homes a
+ * page where its colour says, so untimed, the three are one machine
+ * trajectory observed at two points: the node exit (L3's TLB) and the
+ * home directory lookup (the DLB; NMT's translation). Their class is
+ * those three schemes, unless the reference-bit decay daemon runs;
+ * any other scheme's class is itself. NMT has lanes too: with no
  * structure, every size's sheet is the same.
  */
-std::vector<unsigned> laneSizes(const MachineConfig &cfg);
+std::vector<Lane> siblingLanes(const MachineConfig &cfg);
 
 /** Per-node hardware. */
 class Node
@@ -60,34 +76,40 @@ class Node
      */
     std::unique_ptr<Tlb> tlbSpill;
     /**
-     * @{ @name Lanes (laneSizes())
+     * @{ @name Lanes (siblingLanes())
      *
-     * The configured TLB or DLB at every other size, seeded, filled
-     * and shot down exactly as that size's own run would. They never
-     * affect timing, the tracer or dumpStats; Machine publishes one
-     * sheet per lane.
+     * The sibling configs' TLBs (one bank, in size order) and DLBs,
+     * seeded, filled and shot down exactly as each sibling's own run
+     * would. They never affect timing, the page bits, the tracer or
+     * dumpStats; Machine publishes one sheet per lane.
      */
     std::unique_ptr<ShadowBank> tlbLanes;
     std::vector<Dlb> dlbLanes;
     /** @} */
     /**
-     * Shadow observer bank at this node's translation point (fed at
-     * the scheme's TLB point for L0..L3, at the home's directory
-     * lookup for V-COMA).
+     * Shadow observer bank at the configured scheme's translation
+     * point (its TLB point for L0..L3, the home's directory lookup
+     * for V-COMA and NMT).
      */
     ShadowBank shadow;
+    /**
+     * When the lanes span both translation points (siblingLanes()),
+     * the shadow bank at the other one; nullptr otherwise.
+     */
+    std::unique_ptr<ShadowBank> siblingShadow;
 
     /**
-     * Access the configured TLB and its lanes.
+     * Access the configured TLB, if any, and the TLB lanes.
      * @param evictedOut see Tlb::access (the configured TLB's victim)
-     * @return the configured TLB's hit.
+     * @return the configured TLB's hit (true without one: nothing to
+     *         charge).
      */
     bool
     accessTlb(PageNum vpn, StreamClass cls, PageNum *evictedOut = nullptr)
     {
         if (tlbLanes)
             tlbLanes->access(vpn, cls);
-        return tlb->access(vpn, cls, evictedOut);
+        return !tlb || tlb->access(vpn, cls, evictedOut);
     }
 
     /** @{ @name Node-level event counters */

@@ -20,8 +20,19 @@ CoherenceEngine::CoherenceEngine(const MachineConfig &cfg,
       directory_(directory), network_(network), nodes_(nodes),
       rng_(cfg.seed ^ 0xc0a1e5ce)
 {
-    laneShootdowns.resize(laneSizes(cfg_).size());
-    laneDlbFillLatency.resize(laneShootdowns.size());
+    exitObserved_ = traits_.tlbPoint == TlbPoint::NodeExit;
+    homeObserved_ = traits_.homeTranslation;
+    std::size_t tlbLanes = 0, dlbLanes = 0;
+    for (const Lane &lane : siblingLanes(cfg_)) {
+        const SchemeTraits t = schemeTraits(lane.scheme);
+        exitObserved_ |= t.tlbPoint == TlbPoint::NodeExit;
+        homeObserved_ |= t.homeTranslation;
+        tlbLanes += t.perNodeTlb;
+        dlbLanes += t.hasDlb;
+    }
+    tlbLaneShootdowns.resize(tlbLanes);
+    dlbLaneShootdowns.resize(dlbLanes);
+    dlbLaneFillLatency.resize(dlbLanes);
     pageMask_ = mask(layout_.pageBits());
     pageCtx_.resize(pageCtxSlots);
 
@@ -143,8 +154,6 @@ CoherenceEngine::victimBlockVa(const AmLine &line) const
 Cycles
 CoherenceEngine::chargeTlb(Node &node, PageNum vpn, StreamClass cls, Tick t)
 {
-    if (!node.tlb)
-        return 0;
     PageNum evicted = Tlb::noVpn;
     const bool hit =
         node.accessTlb(vpn, cls, node.tlbSpill ? &evicted : nullptr);
@@ -185,17 +194,13 @@ Cycles
 CoherenceEngine::chargeDlb(Node &home, PageInfo &page, NodeId requester,
                            bool exclusiveReq, StreamClass cls, Tick t)
 {
-    if (!home.dlb)
-        return 0;
     const Cycles penalty =
         cfg_.timedTranslation ? cfg_.timing.translationMiss : 0;
-    const bool hit = home.dlb->access(page, requester, exclusiveReq, cls);
-    // The lanes see the page's reference/modify bits already set.
     for (std::size_t k = 0; k < home.dlbLanes.size(); ++k) {
-        if (!home.dlbLanes[k].access(page, requester, exclusiveReq, cls))
-            laneDlbFillLatency[k].sample(static_cast<double>(penalty));
+        if (!home.dlbLanes[k].lookup(page.vpn, requester, cls))
+            dlbLaneFillLatency[k].sample(static_cast<double>(penalty));
     }
-    if (hit)
+    if (!home.dlb || home.dlb->access(page, requester, exclusiveReq, cls))
         return 0;
     dlbFillLatency.sample(static_cast<double>(penalty));
     if (tracer_) {
@@ -281,8 +286,8 @@ CoherenceEngine::dropSharedVictim(Node &node, VAddr blockVa, Tick t)
         network_.send(node.id, page->home, MsgSize::Request, t);
     Node &home = *nodes_[page->home];
     home.pe.acquire(arrive, cfg_.timing.peOccupancy);
-    if (traits_.homeTranslation) {
-        home.shadow.access(vpn, StreamClass::Writeback);
+    if (homeObserved_) {
+        homeShadow(home).access(vpn, StreamClass::Writeback);
         chargeDlb(home, *page, node.id, false, StreamClass::Writeback,
                   arrive);
     }
@@ -317,10 +322,9 @@ CoherenceEngine::injectBlock(Node &from, VAddr blockVa, AmState st,
     // Node-exit TLBs (L3): the outbound injection is a local-node
     // departure and needs a virtual-to-physical translation
     // (write-back stream).
-    if (traits_.tlbPoint == TlbPoint::NodeExit) {
-        from.shadow.access(vpn, StreamClass::Writeback);
-        if (from.tlb)
-            from.accessTlb(vpn, StreamClass::Writeback);
+    if (exitObserved_) {
+        exitShadow(from).access(vpn, StreamClass::Writeback);
+        from.accessTlb(vpn, StreamClass::Writeback);
     }
 
     const VAddr key = amKeyOf(blockVa);
@@ -329,8 +333,8 @@ CoherenceEngine::injectBlock(Node &from, VAddr blockVa, AmState st,
     Node &home = *nodes_[homeId];
     const Tick s = home.pe.acquire(t, cfg_.timing.peOccupancy);
     t = s + cfg_.timing.directoryLookup;
-    if (traits_.homeTranslation) {
-        home.shadow.access(vpn, StreamClass::Writeback);
+    if (homeObserved_) {
+        homeShadow(home).access(vpn, StreamClass::Writeback);
         t += chargeDlb(home, *page, from.id, false, StreamClass::Writeback,
                        s);
     }
@@ -465,8 +469,8 @@ CoherenceEngine::remoteRead(Node &n, const BlockCtx &ctx, Tick t,
     const Tick s = home.pe.acquire(t, cfg_.timing.peOccupancy);
     t = s + cfg_.timing.directoryLookup;
 
-    if (traits_.homeTranslation) {
-        home.shadow.access(page.vpn, StreamClass::Demand);
+    if (homeObserved_) {
+        homeShadow(home).access(page.vpn, StreamClass::Demand);
         const Cycles p =
             chargeDlb(home, page, n.id, false, StreamClass::Demand, s);
         xlat += p;
@@ -513,8 +517,8 @@ CoherenceEngine::remoteWrite(Node &n, const BlockCtx &ctx, bool hasData,
     const Tick s = home.pe.acquire(t, cfg_.timing.peOccupancy);
     t = s + cfg_.timing.directoryLookup;
 
-    if (traits_.homeTranslation) {
-        home.shadow.access(page.vpn, StreamClass::Demand);
+    if (homeObserved_) {
+        homeShadow(home).access(page.vpn, StreamClass::Demand);
         const Cycles p =
             chargeDlb(home, page, n.id, true, StreamClass::Demand, s);
         xlat += p;
@@ -815,8 +819,8 @@ CoherenceEngine::accessImpl(CpuId cpu, RefType type, VAddr va, Tick now)
     const bool crossesNode =
         (type == RefType::Read && !line) ||
         (type == RefType::Write && st != AmState::Exclusive);
-    if (traits_.tlbPoint == TlbPoint::NodeExit && crossesNode) {
-        node.shadow.access(vpn, StreamClass::Demand);
+    if (exitObserved_ && crossesNode) {
+        exitShadow(node).access(vpn, StreamClass::Demand);
         const Cycles p = chargeTlb(node, vpn, StreamClass::Demand, t);
         res.xlat += p;
         t += p;
@@ -1027,12 +1031,12 @@ CoherenceEngine::purgePage(PageNum vpn)
         if (nodePtr->tlbLanes) {
             for (auto held = nodePtr->tlbLanes->invalidate(vpn); held;
                  held &= held - 1)
-                ++laneShootdowns[static_cast<unsigned>(
+                ++tlbLaneShootdowns[static_cast<unsigned>(
                     std::countr_zero(held))];
         }
         for (std::size_t k = 0; k < nodePtr->dlbLanes.size(); ++k) {
             if (nodePtr->dlbLanes[k].invalidate(vpn))
-                ++laneShootdowns[k];
+                ++dlbLaneShootdowns[k];
         }
     }
 }

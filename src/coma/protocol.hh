@@ -241,14 +241,15 @@ class CoherenceEngine
     /** @} */
 
     /**
-     * @{ @name Lane copies (laneSizes() order)
+     * @{ @name Lane copies (siblingLanes())
      *
-     * The size-dependent engine outputs of each lane of the configured
-     * structure (Node::tlbLanes, Node::dlbLanes): its shoot-downs and
+     * The structure-dependent engine outputs of each lane
+     * (Node::tlbLanes members, Node::dlbLanes): its shoot-downs and
      * its DLB fills.
      */
-    std::vector<Counter> laneShootdowns;
-    std::vector<Distribution> laneDlbFillLatency;
+    std::vector<Counter> tlbLaneShootdowns;
+    std::vector<Counter> dlbLaneShootdowns;
+    std::vector<Distribution> dlbLaneFillLatency;
     /** @} */
 
   private:
@@ -346,14 +347,33 @@ class CoherenceEngine
     VAddr flcKeyOf(VAddr blockVa);
     VAddr slcKeyOf(VAddr blockVa);
 
-    /** Timed+counted access of the configured private TLB at @p t. */
+    /**
+     * Timed+counted access of the configured private TLB at @p t (and
+     * of the TLB lanes).
+     */
     Cycles chargeTlb(Node &node, PageNum vpn, StreamClass cls, Tick t);
     /**
      * Timed+counted DLB access at the home node at @p t, on behalf of
-     * @p requester (attribution of the sharing/prefetching effects).
+     * @p requester (attribution of the sharing/prefetching effects),
+     * and the DLB lanes' lookups.
      */
     Cycles chargeDlb(Node &home, PageInfo &page, NodeId requester,
                      bool exclusiveReq, StreamClass cls, Tick t);
+
+    /** @{ @name Shadow banks at the two translation points */
+    ShadowBank &
+    exitShadow(Node &n) const
+    {
+        return traits_.tlbPoint == TlbPoint::NodeExit ? n.shadow
+                                                      : *n.siblingShadow;
+    }
+
+    ShadowBank &
+    homeShadow(Node &n) const
+    {
+        return traits_.homeTranslation ? n.shadow : *n.siblingShadow;
+    }
+    /** @} */
 
     /** Version self-check at check level >= @p level. */
     void checkVersion(const BlockCtx &ctx, const AmLine *line,
@@ -408,6 +428,13 @@ class CoherenceEngine
      * Filter/memo entries from an older epoch are dead.
      */
     std::uint64_t xlatEpoch_ = 0;
+    /**
+     * Translation is observed at the node exit (L3's TLB point) and
+     * at the home's directory lookup (V-COMA's DLB, NMT): by the
+     * configured scheme or by a lane's.
+     */
+    bool exitObserved_ = false;
+    bool homeObserved_ = false;
     /** Fast filter active for reads (scheme, checkLevel). */
     bool fastReads_ = false;
     /** ... and for writes (additionally excludes L1's per-store TLB). */

@@ -68,32 +68,7 @@ class Dlb
     access(PageInfo &page, NodeId requester, bool exclusiveRequest,
            StreamClass cls)
     {
-        PageNum evicted = Tlb::noVpn;
-        const bool hit = tlb_.access(page.vpn, cls, &evicted);
-        if (evicted != Tlb::noVpn)
-            retireEntry(evicted);
-        if (tlb_.entries() != 0) {
-            if (hit) {
-                auto it = meta_.find(page.vpn);
-                // Entries injected behind the Dlb's back (fault
-                // injection pokes tlb() directly) have no metadata;
-                // skip attribution for those.
-                if (it != meta_.end()) {
-                    EntryMeta &m = it->second;
-                    m.requesters |= maskOf(requester);
-                    if (requester != m.filler) {
-                        ++sharedHits;
-                        if (!m.servedOther) {
-                            m.servedOther = true;
-                            ++prefetchedFills;
-                        }
-                    }
-                }
-            } else {
-                meta_[page.vpn] =
-                    EntryMeta{maskOf(requester), requester, false};
-            }
-        }
+        const bool hit = lookup(page.vpn, requester, cls);
         if (!page.referenced) {
             page.referenced = true;
             ++refBitSets;
@@ -101,6 +76,43 @@ class Dlb
         if (exclusiveRequest && !page.modified) {
             page.modified = true;
             ++modBitSets;
+        }
+        return hit;
+    }
+
+    /**
+     * access() without the page bits: the translation and its
+     * sharing/prefetching attribution only. A lane (Node::dlbLanes)
+     * observes this way, so the page bits stay the configured
+     * scheme's.
+     */
+    bool
+    lookup(PageNum vpn, NodeId requester, StreamClass cls)
+    {
+        PageNum evicted = Tlb::noVpn;
+        const bool hit = tlb_.access(vpn, cls, &evicted);
+        if (evicted != Tlb::noVpn)
+            retireEntry(evicted);
+        if (tlb_.entries() == 0)
+            return hit;
+        if (!hit) {
+            meta_[vpn] = EntryMeta{maskOf(requester), requester, false};
+            return false;
+        }
+        auto it = meta_.find(vpn);
+        // Entries injected behind the Dlb's back (fault injection
+        // pokes tlb() directly) have no metadata; skip attribution
+        // for those.
+        if (it != meta_.end()) {
+            EntryMeta &m = it->second;
+            m.requesters |= maskOf(requester);
+            if (requester != m.filler) {
+                ++sharedHits;
+                if (!m.servedOther) {
+                    m.servedOther = true;
+                    ++prefetchedFills;
+                }
+            }
         }
         return hit;
     }

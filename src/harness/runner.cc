@@ -129,10 +129,11 @@ machineConfig(const ExperimentConfig &cfg)
     return mc;
 }
 
-/** The key of @p cfg with the TLB/DLB at @p entries. */
+/** The key of @p cfg under @p scheme with the TLB/DLB at @p entries. */
 std::string
-siblingKey(ExperimentConfig cfg, unsigned entries)
+siblingKey(ExperimentConfig cfg, Scheme scheme, unsigned entries)
 {
+    cfg.scheme = scheme;
     cfg.tlbEntries = entries;
     return cfg.key();
 }
@@ -454,7 +455,7 @@ Runner::runAll(std::span<const ExperimentConfig> cfgs,
     // Single-threaded triage: satisfy what the memo or the disk cache
     // already has, and schedule one simulation per trajectory: the
     // first occurrence of a key no scheduled simulation serves. A
-    // simulation serves its own key and its lane siblings' keys.
+    // simulation serves its own key and its siblings' keys.
     std::vector<std::size_t> toRun;
     // Slots this call serves fresh: the first of each key it
     // simulates or serves from a lane.
@@ -478,8 +479,8 @@ Runner::runAll(std::span<const ExperimentConfig> cfgs,
                 continue;
             }
             covered.insert(key);
-            for (unsigned entries : laneSizes(machineConfig(cfgs[i])))
-                covered.insert(siblingKey(cfgs[i], entries));
+            for (const Lane &l : siblingLanes(machineConfig(cfgs[i])))
+                covered.insert(siblingKey(cfgs[i], l.scheme, l.entries));
             claimed.insert(key);
             toRun.push_back(i);
             served.push_back(i);
@@ -601,8 +602,10 @@ Runner::execute(const ExperimentConfig &cfg)
             recording->finalize();
         if (!cfg.injectFault.empty())
             applyConfiguredFault(machine, cfg);
-        for (const LaneSheet &lane : machine.laneSheets())
-            sheets.emplace_back(siblingKey(cfg, lane.entries), lane.stats);
+        for (const LaneSheet &lane : machine.laneSheets()) {
+            sheets.emplace_back(siblingKey(cfg, lane.scheme, lane.entries),
+                                lane.stats);
+        }
         return sheets;
     } catch (const SimulationError &) {
         throw;

@@ -95,9 +95,11 @@ struct FailedRun
  * readRunStatsJson() rejects is a miss: the config simulates again.
  *
  * A simulation publishes more than its own config's sheet: an untimed
- * config's configured TLB/DLB runs at every standard size in lanes
- * (laneSizes() in coma/node.hh), and each lane's sheet is memoised and
- * stored under the key of the sibling config of that size.
+ * config's TLB/DLB runs at every standard size in lanes, and under
+ * every scheme of its class (L3-TLB, V-COMA and NMT share one
+ * trajectory; see siblingLanes() in coma/node.hh). Each lane's sheet
+ * is memoised and stored under the key of that sibling config: up to
+ * 21 sheets from one simulation.
  *
  * Thread safety: run() and runAll() may be called from any thread;
  * the memo map and execution counter are internally synchronised.
@@ -148,8 +150,9 @@ class Runner
      * rethrown once the pool drains).
      *
      * Each simulation scheduled also serves its config's lane
-     * siblings, so configs differing only in TLB/DLB size simulate
-     * once (never side by side on two workers).
+     * siblings, so configs differing only in TLB/DLB size, or in the
+     * scheme within L3-TLB/V-COMA/NMT, simulate once (never side by
+     * side on two workers).
      *
      * When @p freshlyExecuted is non-null, slot i is set to true iff
      * this call simulated config i or served it from a lane of a
@@ -217,8 +220,8 @@ class Runner
 
     /**
      * Simulations actually executed. One simulation of an untimed
-     * config serves every size of its configured TLB/DLB (laneSizes()
-     * in coma/node.hh), so this can be less than the configs served
+     * config serves all its siblings (siblingLanes() in
+     * coma/node.hh), so this can be less than the configs served
      * without the cache.
      */
     unsigned executed() const { return executed_.load(); }
@@ -228,9 +231,8 @@ class Runner
     using Sheets = std::vector<std::pair<std::string, RunStats>>;
 
     /**
-     * Simulate @p cfg. Its sheet comes with one per lane of the
-     * configured TLB/DLB (laneSizes()), keyed as the sibling config
-     * of that size.
+     * Simulate @p cfg. Its sheet comes with one per lane
+     * (siblingLanes()), keyed as that sibling config.
      */
     Sheets execute(const ExperimentConfig &cfg);
     std::string cachePath(const std::string &key) const;

@@ -508,6 +508,31 @@ Machine::dumpStats(std::ostream &os) const
     root.dump(os);
 }
 
+std::vector<ShadowPoint>
+Machine::shadowSweep(bool sibling) const
+{
+    std::vector<ShadowPoint> sweep;
+    for (unsigned entries : shadowSizes()) {
+        for (unsigned assoc : {0u, 1u}) {
+            ShadowPoint point;
+            point.entries = entries;
+            point.assoc = assoc;
+            for (const auto &nodePtr : nodes_) {
+                const ShadowBank &bank =
+                    sibling ? *nodePtr->siblingShadow : nodePtr->shadow;
+                const auto member = bank.find(entries, assoc);
+                VCOMA_ASSERT(member);
+                point.demandAccesses += member->demandAccesses;
+                point.demandMisses += member->demandMisses;
+                point.writebackAccesses += member->writebackAccesses;
+                point.writebackMisses += member->writebackMisses;
+            }
+            sweep.push_back(point);
+        }
+    }
+    return sweep;
+}
+
 RunStats
 Machine::collect(Workload &workload, std::vector<CpuStats> cpus,
                  Tick execTime)
@@ -521,23 +546,7 @@ Machine::collect(Workload &workload, std::vector<CpuStats> cpus,
     stats.cpus = std::move(cpus);
     stats.execTime = execTime;
 
-    // Aggregate the shadow banks across nodes.
-    for (unsigned entries : shadowSizes()) {
-        for (unsigned assoc : {0u, 1u}) {
-            ShadowPoint point;
-            point.entries = entries;
-            point.assoc = assoc;
-            for (const auto &nodePtr : nodes_) {
-                const auto member = nodePtr->shadow.find(entries, assoc);
-                VCOMA_ASSERT(member);
-                point.demandAccesses += member->demandAccesses;
-                point.demandMisses += member->demandMisses;
-                point.writebackAccesses += member->writebackAccesses;
-                point.writebackMisses += member->writebackMisses;
-            }
-            stats.shadow.push_back(point);
-        }
-    }
+    stats.shadow = shadowSweep(false);
 
     for (const auto &nodePtr : nodes_) {
         const Node &n = *nodePtr;
@@ -577,28 +586,35 @@ Machine::collect(Workload &workload, std::vector<CpuStats> cpus,
     stats.remoteWriteLatency = DistSummary::of(engine_.remoteWriteLatency);
     stats.dlbFillLatency = DistSummary::of(engine_.dlbFillLatency);
 
-    // Each lane's sheet is this one with the size-dependent
-    // translation fields of that lane.
-    const std::vector<unsigned> lanes = laneSizes(cfg_);
+    // Each lane's sheet is this one with that sibling's translation
+    // fields: its shadow sweep, its structure's counters and
+    // shoot-downs (none for NMT), and for a DLB the fills and the
+    // filtered references (the ones that made no DLB demand lookup).
+    const std::uint64_t refs = stats.totalRefs();
+    const unsigned assoc = cfg_.translation.assoc;
+    std::size_t tlbLane = 0, dlbLane = 0;
     laneSheets_.clear();
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-        RunStats lane = stats;
-        lane.tlbAccesses = lane.tlbMisses = 0;
-        lane.tlbWritebackAccesses = lane.tlbWritebackMisses = 0;
-        lane.dlbSharedHits = lane.dlbPrefetchedFills = 0;
-        lane.dlbRequestersPerEntry = {};
-        for (const auto &nodePtr : nodes_) {
-            Node &n = *nodePtr;
-            if (n.tlbLanes) {
-                addTranslation(
-                    lane, *n.tlbLanes->find(lanes[k], cfg_.translation.assoc));
-            }
-            if (!n.dlbLanes.empty())
-                addDlbEffects(lane, n.dlbLanes[k]);
+    for (const Lane &lane : siblingLanes(cfg_)) {
+        const SchemeTraits t = schemeTraits(lane.scheme);
+        RunStats sheet = stats;
+        clearTranslationFields(sheet);
+        sheet.scheme = lane.scheme;
+        sheet.shadow =
+            shadowSweep(t.homeTranslation != traits_.homeTranslation);
+        if (t.perNodeTlb) {
+            for (const auto &nodePtr : nodes_)
+                addTranslation(sheet,
+                               *nodePtr->tlbLanes->find(lane.entries, assoc));
+            sheet.tlbShootdowns = engine_.tlbLaneShootdowns[tlbLane++].value();
+        } else if (t.hasDlb) {
+            for (const auto &nodePtr : nodes_)
+                addDlbEffects(sheet, nodePtr->dlbLanes[dlbLane]);
+            sheet.tlbShootdowns = engine_.dlbLaneShootdowns[dlbLane].value();
+            sheet.dlbFillLatency =
+                DistSummary::of(engine_.dlbLaneFillLatency[dlbLane++]);
+            sheet.dlbFilteredRefs = refs - sheet.tlbAccesses;
         }
-        lane.tlbShootdowns = engine_.laneShootdowns[k].value();
-        lane.dlbFillLatency = DistSummary::of(engine_.laneDlbFillLatency[k]);
-        laneSheets_.push_back({lanes[k], std::move(lane)});
+        laneSheets_.push_back({lane.scheme, lane.entries, std::move(sheet)});
     }
     return stats;
 }

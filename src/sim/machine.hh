@@ -38,9 +38,10 @@ namespace vcoma
 class InvariantChecker;
 class EventTracer;
 
-/** One lane's stats sheet (see laneSizes()). */
+/** One lane's stats sheet (see siblingLanes()). */
 struct LaneSheet
 {
+    Scheme scheme;
     unsigned entries;
     RunStats stats;
 };
@@ -56,9 +57,9 @@ class Machine
     RunStats run(Workload &workload);
 
     /**
-     * After run(): one sheet per lane of the configured TLB/DLB, in
-     * laneSizes() order, each byte-identical to the sheet of that
-     * size's own run. Empty when the config has no lanes.
+     * After run(): one sheet per lane, in siblingLanes() order, each
+     * byte-identical to the sheet of that (scheme, size) config's own
+     * run. Empty when the config has no lanes.
      */
     const std::vector<LaneSheet> &laneSheets() const { return laneSheets_; }
 
@@ -119,6 +120,12 @@ class Machine
      * sweep once it reaches the configured interval.
      */
     void creditInvariantSweep(std::uint64_t weight);
+
+    /**
+     * The shadow sweep summed over nodes: of Node::shadow, or of
+     * Node::siblingShadow when @p sibling.
+     */
+    std::vector<ShadowPoint> shadowSweep(bool sibling) const;
 
     /** Gather the stats sheet after a run. */
     RunStats collect(Workload &workload, std::vector<CpuStats> cpus,

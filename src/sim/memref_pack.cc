@@ -60,19 +60,41 @@ pad8(std::uint64_t n)
     return (n + 7) & ~std::uint64_t{7};
 }
 
+constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ULL;
+
+/** Offset of the header checksum (the header's last u32). */
+constexpr std::size_t headerChecksumAt = 60;
+
 /**
- * FNV-1a over the payload, mixed 8 bytes at a time (the payload is a
- * multiple of 24 and therefore of 8). Word-at-a-time keeps the open()
- * validation pass cheap even for multi-GB traces.
+ * FNV-1a from @p hash over @p bytes at @p p, mixed 8 bytes at a time
+ * (the payload is a multiple of 24, the header and index of 8).
+ * Word-at-a-time keeps the open() validation pass cheap even for
+ * multi-GB traces.
  */
 std::uint64_t
-payloadChecksum(const unsigned char *p, std::size_t bytes)
+fnvWords(std::uint64_t hash, const unsigned char *p, std::size_t bytes)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
     constexpr std::uint64_t prime = 0x100000001b3ULL;
     for (std::size_t i = 0; i + 8 <= bytes; i += 8)
         hash = (hash ^ getU64(p + i)) * prime;
     return hash;
+}
+
+/**
+ * The header checksum of @p prefix, the file's first
+ * @p payloadStart bytes (see the format description).
+ */
+std::uint32_t
+headerChecksum(const unsigned char *prefix, std::size_t payloadStart)
+{
+    unsigned char header[packedHeaderBytes];
+    std::memcpy(header, prefix, packedHeaderBytes);
+    putU32(header + headerChecksumAt, 0);
+    const std::uint64_t hash =
+        fnvWords(fnvWords(fnvBasis, header, packedHeaderBytes),
+                 prefix + packedHeaderBytes,
+                 payloadStart - packedHeaderBytes);
+    return static_cast<std::uint32_t>(hash ^ (hash >> 32));
 }
 
 [[noreturn]] void
@@ -230,25 +252,8 @@ PackedTraceWriter::finalize(std::string *error)
         if (!out)
             return fail("cannot create '" + outPath + "'");
 
-        // Body first (so the checksum is known), header last.
-        out.seekp(static_cast<std::streamoff>(packedHeaderBytes));
-        out.write(key_.data(),
-                  static_cast<std::streamsize>(key_.size()));
-        out.write(name_.data(),
-                  static_cast<std::streamsize>(name_.size()));
-        out.write(params_.data(),
-                  static_cast<std::streamsize>(params_.size()));
-        const std::string zeros(
-            strings - key_.size() - name_.size() - params_.size(), '\0');
-        out.write(zeros.data(),
-                  static_cast<std::streamsize>(zeros.size()));
-        for (unsigned t = 0; t < threads_; ++t) {
-            unsigned char entry[16];
-            putU64(entry, offsets[t]);
-            putU64(entry + 8, counts_[t]);
-            out.write(reinterpret_cast<const char *>(entry),
-                      sizeof(entry));
-        }
+        // Payload first (so its checksum is known), then everything
+        // before it: the header, the strings and the index.
 
         // Distribute the staged chunks to their per-thread payload
         // positions. Chunks of one thread were flushed in program
@@ -285,8 +290,7 @@ PackedTraceWriter::finalize(std::string *error)
             return fail("short write to '" + outPath + "'");
         std::ifstream re(outPath, std::ios::binary);
         re.seekg(static_cast<std::streamoff>(payloadStart));
-        std::uint64_t hash = 0xcbf29ce484222325ULL;
-        constexpr std::uint64_t prime = 0x100000001b3ULL;
+        std::uint64_t hash = fnvBasis;
         std::vector<unsigned char> block(1 << 20);
         std::uint64_t left = fileBytes - payloadStart;
         while (left > 0) {
@@ -295,12 +299,12 @@ PackedTraceWriter::finalize(std::string *error)
             if (!re.read(reinterpret_cast<char *>(block.data()),
                          static_cast<std::streamsize>(want)))
                 return fail("cannot re-read '" + outPath + "'");
-            for (std::uint64_t i = 0; i + 8 <= want; i += 8)
-                hash = (hash ^ getU64(block.data() + i)) * prime;
+            hash = fnvWords(hash, block.data(), want);
             left -= want;
         }
 
-        unsigned char header[packedHeaderBytes] = {};
+        std::vector<unsigned char> prefix(payloadStart, 0);
+        unsigned char *header = prefix.data();
         std::memcpy(header, packedTraceMagic, sizeof(packedTraceMagic));
         putU32(header + 8, packedTraceVersion);
         putU32(header + 12, packedRecordBytes);
@@ -312,9 +316,21 @@ PackedTraceWriter::finalize(std::string *error)
         putU32(header + 48, static_cast<std::uint32_t>(key_.size()));
         putU32(header + 52, static_cast<std::uint32_t>(name_.size()));
         putU32(header + 56, static_cast<std::uint32_t>(params_.size()));
+        unsigned char *at8 = header + packedHeaderBytes;
+        for (const std::string *str : {&key_, &name_, &params_}) {
+            std::memcpy(at8, str->data(), str->size());
+            at8 += str->size();
+        }
+        for (unsigned t = 0; t < threads_; ++t) {
+            unsigned char *entry = header + indexOffset + t * 16;
+            putU64(entry, offsets[t]);
+            putU64(entry + 8, counts_[t]);
+        }
+        putU32(header + headerChecksumAt,
+               headerChecksum(header, payloadStart));
         out.seekp(0);
         out.write(reinterpret_cast<const char *>(header),
-                  sizeof(header));
+                  static_cast<std::streamsize>(prefix.size()));
         out.close();
         if (!out)
             return fail("short write to '" + outPath + "'");
@@ -381,9 +397,10 @@ PackedTrace::PackedTrace(const std::string &path)
         unmap();
         reject(path, "zero threads");
     }
-    if ((getU32(base + 20) & 1) == 0) {
+    if (const std::uint32_t flags = getU32(base + 20); flags != 1) {
         unmap();
-        reject(path, "payload is not little-endian");
+        reject(path, (flags & 1) == 0 ? "payload is not little-endian"
+                                      : "unknown flag bits");
     }
     totalEvents_ = getU64(base + 24);
     sharedBytes_ = getU64(base + 32);
@@ -402,6 +419,12 @@ PackedTrace::PackedTrace(const std::string &path)
         unmap();
         reject(path, "truncated: header promises more than the file "
                      "holds");
+    }
+    if (headerChecksum(base, payloadStart) !=
+        getU32(base + headerChecksumAt)) {
+        unmap();
+        reject(path, "header checksum mismatch (corrupt header, "
+                     "strings or index)");
     }
     const char *stringsAt =
         reinterpret_cast<const char *>(base + packedHeaderBytes);
@@ -439,7 +462,7 @@ PackedTrace::PackedTrace(const std::string &path)
     // trust every record without per-reference validation.
     const unsigned char *payload = base + payloadStart;
     const std::uint64_t payloadBytes = fileBytes - payloadStart;
-    if (payloadChecksum(payload, payloadBytes) != checksum) {
+    if (fnvWords(fnvBasis, payload, payloadBytes) != checksum) {
         unmap();
         reject(path, "payload checksum mismatch (corrupt trace)");
     }

@@ -11,26 +11,34 @@
  * record layout provably matches MemRef (static_asserts below) —
  * consumed in place with no per-record decode at all.
  *
- * File layout (version 1):
+ * File layout (version 3):
  *
  *     offset  size  field
  *     ------  ----  -----------------------------------------
  *          0     8  magic "VCMTRC1\n"
- *          8     4  u32 version            (1)
+ *          8     4  u32 version            (3)
  *         12     4  u32 recordBytes        (24)
  *         16     4  u32 threads            (> 0)
- *         20     4  u32 flags              (bit 0: little-endian payload)
+ *         20     4  u32 flags              (1: little-endian payload;
+ *                                           no other bit is defined)
  *         24     8  u64 totalEvents        (sum of per-thread counts)
  *         32     8  u64 sharedBytes        (workload footprint)
  *         40     8  u64 payloadChecksum    (FNV-1a/64 over payload words)
  *         48     4  u32 keyBytes           |
  *         52     4  u32 nameBytes          | string-section lengths
  *         56     4  u32 paramsBytes        |
- *         60     4  u32 reserved           (0)
+ *         60     4  u32 headerChecksum     (see below)
  *         64     -  key, name, params      (raw bytes, padded to 8)
  *          -     -  index: threads x { u64 payloadOffset, u64 count }
  *          -     -  payload: per-thread record arrays, 8-aligned,
  *                   ascending, exactly filling the rest of the file
+ *
+ * headerChecksum covers every byte before the payload, the strings,
+ * their padding and the index included: FNV-1a/64 over those words
+ * with the checksum field itself read as zero, its two 32-bit halves
+ * XORed together. With payloadChecksum, every byte of the file is
+ * checked, so no flip can load the same streams under another key,
+ * name or footprint.
  *
  * Record layout (24 bytes; byte offsets within one record):
  *
@@ -90,8 +98,9 @@ constexpr std::size_t packedHeaderBytes = 64;
  * recorded before the modulo-bias fix carry pre-fix reference
  * streams and must re-record rather than silently replay into fresh
  * sweeps (the result-cache magic made the same jump, from v3 to v4).
+ * v3 turns v2's reserved word at offset 60 into the header checksum.
  */
-constexpr std::uint32_t packedTraceVersion = 2;
+constexpr std::uint32_t packedTraceVersion = 3;
 
 /** The 8-byte magic at offset 0. */
 constexpr char packedTraceMagic[8] = {'V', 'C', 'M', 'T',

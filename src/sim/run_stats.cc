@@ -5,6 +5,21 @@
 namespace vcoma
 {
 
+void
+clearTranslationFields(RunStats &stats)
+{
+    stats.scheme = Scheme{};
+    stats.shadow.clear();
+    stats.tlbAccesses = stats.tlbMisses = 0;
+    stats.tlbWritebackAccesses = stats.tlbWritebackMisses = 0;
+    stats.tlbShootdowns = 0;
+    stats.tlbSpillProbes = stats.tlbSpillHits = stats.tlbSpillFills = 0;
+    stats.dlbFilteredRefs = stats.dlbSharedHits = 0;
+    stats.dlbPrefetchedFills = 0;
+    stats.dlbRequestersPerEntry = {};
+    stats.dlbFillLatency = {};
+}
+
 std::uint64_t
 RunStats::totalRefs() const
 {

@@ -187,6 +187,14 @@ struct RunStats
     double xlatOverTotalStallPct() const;
 };
 
+/**
+ * Reset the fields in which the sheets of sibling schemes (see
+ * siblingLanes() in coma/node.hh) may differ: the scheme, the shadow
+ * sweep, the tlb.* and dlb.* counters, the shoot-downs and the DLB
+ * fill latency. Everything else is the shared trajectory's.
+ */
+void clearTranslationFields(RunStats &stats);
+
 } // namespace vcoma
 
 #endif // VCOMA_SIM_RUN_STATS_HH

@@ -71,8 +71,8 @@ struct ShadowTotals
  *
  * lanes() builds the other kind of bank: one organisation only, every
  * member on the one seed a standalone Tlb of that size would get, and
- * with invalidate(). It carries the configured TLB at its sibling
- * sizes (see laneSizes() in coma/node.hh).
+ * with invalidate(). It carries a node's TLB lanes: the TLBs of its
+ * sibling configs (see siblingLanes() in coma/node.hh).
  */
 class ShadowBank
 {

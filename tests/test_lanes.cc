@@ -1,10 +1,10 @@
 /**
  * @file
- * Lanes: an untimed config's configured TLB/DLB runs at every
- * standard size in one simulation (laneSizes() in coma/node.hh), and
- * the Runner publishes each lane's sheet under its sibling config's
- * key. Every lane sheet must be byte-identical to the sheet of that
- * size's own simulation.
+ * Lanes: an untimed config's TLB/DLB runs at every standard size, and
+ * under every sibling scheme of its class, in one simulation
+ * (siblingLanes() in coma/node.hh); the Runner publishes each lane's
+ * sheet under its sibling config's key. Every lane sheet must be
+ * byte-identical to the sheet of that config's own simulation.
  */
 
 #include <gtest/gtest.h>
@@ -147,6 +147,34 @@ allKernels()
     return kernels;
 }
 
+/** The schemes that share one untimed trajectory. */
+const std::vector<Scheme> siblingClass{Scheme::L3, Scheme::VCOMA,
+                                       Scheme::NMT};
+
+bool
+inSiblingClass(Scheme scheme)
+{
+    return std::count(siblingClass.begin(), siblingClass.end(), scheme) != 0;
+}
+
+/**
+ * The schemes whose sheets one simulation of @p scheme publishes:
+ * its class, or only itself.
+ */
+std::vector<Scheme>
+publishedSchemes(Scheme scheme)
+{
+    return inSiblingClass(scheme) ? siblingClass : std::vector{scheme};
+}
+
+ExperimentConfig
+withScheme(ExperimentConfig cfg, Scheme scheme, unsigned entries)
+{
+    cfg.scheme = scheme;
+    cfg.tlbEntries = entries;
+    return cfg;
+}
+
 } // namespace
 
 /** (scheme, kernel, associativity). */
@@ -158,32 +186,47 @@ class LaneEquivalence : public ::testing::TestWithParam<LaneCase>
 
 /**
  * One Runner simulates the 32-entry config; it must publish one sheet
- * per standard size (VICTIMA, which spills TLB victims, only its
- * own), memoised and on disk, each byte-identical to the sheet a
- * fresh cache-less Runner simulates for that size alone.
+ * per standard size of every scheme of its class (VICTIMA, which
+ * spills TLB victims, only its own), memoised and on disk, each
+ * byte-identical to the sheet a fresh cache-less Runner simulates for
+ * that config alone. A class scheme compares its own seven sizes in
+ * every case; the whole class is compared for one primary per kernel
+ * and, for FFT and GRAPH, for each of the three.
  */
 TEST_P(LaneEquivalence, EverySizeMatchesItsOwnRun)
 {
     const auto &[scheme, kernel, assoc] = GetParam();
     const bool hasLanes = !schemeTraits(scheme).slcTlbSpill;
     const ExperimentConfig cfg = laneConfig(scheme, kernel, 32, assoc);
+    const std::vector<Scheme> published = publishedSchemes(scheme);
+
+    const std::vector<std::string> kernels = allKernels();
+    const auto index = static_cast<std::size_t>(
+        std::find(kernels.begin(), kernels.end(), kernel) - kernels.begin());
+    const bool wholeClass =
+        kernel == "FFT" || kernel == "GRAPH" ||
+        siblingClass[index % siblingClass.size()] == scheme;
 
     TempDir dir;
     Runner runner(dir.path.string());
     ASSERT_NE(runner.tryRun(cfg), nullptr);
     EXPECT_EQ(runner.executed(), 1u);
     EXPECT_EQ(cacheEntries(dir.path).size(),
-              hasLanes ? shadowSizes().size() : 1u);
+              hasLanes ? published.size() * shadowSizes().size() : 1u);
 
-    for (unsigned entries : shadowSizes()) {
-        SCOPED_TRACE(std::to_string(entries) + " entries");
-        const ExperimentConfig sibling = withEntries(cfg, entries);
-        const std::string expected = aloneSheet(sibling);
-        const RunStats *served = runner.tryRun(sibling);
-        ASSERT_NE(served, nullptr);
-        EXPECT_EQ(sheetOf(*served), expected);
-        EXPECT_EQ(slurp(dir.path / (sibling.key() + ".json")),
-                  "vcoma-cache-v5\n" + expected + "\n");
+    for (Scheme sibling : published) {
+        if (sibling != scheme && !wholeClass)
+            continue;
+        for (unsigned entries : shadowSizes()) {
+            const ExperimentConfig other = withScheme(cfg, sibling, entries);
+            SCOPED_TRACE(other.key());
+            const std::string expected = aloneSheet(other);
+            const RunStats *served = runner.tryRun(other);
+            ASSERT_NE(served, nullptr);
+            EXPECT_EQ(sheetOf(*served), expected);
+            EXPECT_EQ(slurp(dir.path / (other.key() + ".json")),
+                      "vcoma-cache-v5\n" + expected + "\n");
+        }
     }
     EXPECT_EQ(runner.executed(), hasLanes ? 1u : shadowSizes().size());
 }
@@ -218,31 +261,69 @@ INSTANTIATE_TEST_SUITE_P(
     laneCaseName);
 
 /**
- * A batch of the seven sizes of one trajectory simulates once, serial
- * or on four workers, and reports every slot as freshly executed.
+ * A batch of every size of one trajectory simulates once, serial or
+ * on four workers, and reports every slot as freshly executed: the
+ * seven sizes of V-COMA, and the seven sizes of each sibling scheme.
  */
 TEST(RunnerLanes, SevenSizeBatchExecutesOnce)
 {
-    for (const char *jobs : {"1", "4"}) {
-        SCOPED_TRACE(std::string("VCOMA_JOBS=") + jobs);
-        EnvGuard env("VCOMA_JOBS", jobs);
-        std::vector<ExperimentConfig> cfgs;
-        for (unsigned entries : shadowSizes())
-            cfgs.push_back(laneConfig(Scheme::VCOMA, "FFT", entries));
-        Runner runner("");
-        std::vector<bool> fresh;
-        const auto results = runner.runAll(cfgs, &fresh);
-        EXPECT_EQ(runner.executed(), 1u);
-        EXPECT_EQ(fresh, std::vector<bool>(cfgs.size(), true));
-        for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            ASSERT_NE(results[i], nullptr);
-            EXPECT_EQ(sheetOf(*results[i]), aloneSheet(cfgs[i]))
-                << cfgs[i].key();
+    for (const std::vector<Scheme> &schemes :
+         {std::vector{Scheme::VCOMA}, siblingClass}) {
+        for (const char *jobs : {"1", "4"}) {
+            SCOPED_TRACE(std::to_string(schemes.size()) +
+                         " scheme(s), VCOMA_JOBS=" + jobs);
+            EnvGuard env("VCOMA_JOBS", jobs);
+            std::vector<ExperimentConfig> cfgs;
+            for (Scheme scheme : schemes) {
+                for (unsigned entries : shadowSizes())
+                    cfgs.push_back(laneConfig(scheme, "FFT", entries));
+            }
+            Runner runner("");
+            std::vector<bool> fresh;
+            const auto results = runner.runAll(cfgs, &fresh);
+            EXPECT_EQ(runner.executed(), 1u);
+            EXPECT_EQ(fresh, std::vector<bool>(cfgs.size(), true));
+            for (std::size_t i = 0; i < cfgs.size(); ++i) {
+                ASSERT_NE(results[i], nullptr);
+                EXPECT_EQ(sheetOf(*results[i]), aloneSheet(cfgs[i]))
+                    << cfgs[i].key();
+            }
+            // A second batch is all memo hits.
+            runner.runAll(cfgs, &fresh);
+            EXPECT_EQ(fresh, std::vector<bool>(cfgs.size(), false));
+            EXPECT_EQ(runner.executed(), 1u);
         }
-        // A second batch is all memo hits.
-        runner.runAll(cfgs, &fresh);
-        EXPECT_EQ(fresh, std::vector<bool>(cfgs.size(), false));
-        EXPECT_EQ(runner.executed(), 1u);
+    }
+}
+
+/**
+ * Only L3-TLB, V-COMA and NMT serve one another: an untimed L0, L1 or
+ * L2 config publishes its own scheme's seven sizes, and VICTIMA, a
+ * timed and a set-associative config of the class only their own key.
+ */
+TEST(RunnerLanes, OnlySiblingSchemesShareASimulation)
+{
+    ExperimentConfig timed = laneConfig(Scheme::L3, "FFT", 16);
+    timed.timedTranslation = true;
+    const std::vector<std::pair<ExperimentConfig, std::size_t>> cases{
+        {laneConfig(Scheme::L0, "FFT", 16), shadowSizes().size()},
+        {laneConfig(Scheme::L1, "FFT", 16), shadowSizes().size()},
+        {laneConfig(Scheme::L2, "FFT", 16), shadowSizes().size()},
+        {laneConfig(Scheme::VICTIMA, "FFT", 16), 1},
+        {timed, 1},
+        {laneConfig(Scheme::VCOMA, "FFT", 16, /*assoc=*/2), 1},
+    };
+    for (const auto &[cfg, published] : cases) {
+        SCOPED_TRACE(cfg.key());
+        TempDir dir;
+        Runner runner(dir.path.string());
+        ASSERT_NE(runner.tryRun(cfg), nullptr);
+        const std::vector<std::string> names = cacheEntries(dir.path);
+        EXPECT_EQ(names.size(), published);
+        const std::string own =
+            std::string("-") + schemeName(cfg.scheme) + "-e";
+        for (const std::string &name : names)
+            EXPECT_NE(name.find(own), std::string::npos) << name;
     }
 }
 
@@ -339,8 +420,9 @@ class LaneShootdowns
 };
 
 /**
- * Every lane's sheet equals the sheet of a separate Machine built at
- * that size, on a run with swap-outs and shoot-downs.
+ * Every lane's sheet, sibling schemes' included, equals the sheet of a
+ * separate Machine built for that lane, on a run with swap-outs and
+ * shoot-downs.
  */
 TEST_P(LaneShootdowns, EveryLaneMatchesASeparateMachine)
 {
@@ -349,18 +431,33 @@ TEST_P(LaneShootdowns, EveryLaneMatchesASeparateMachine)
     const RunStats stats =
         machine.run(*makeWorkload("HOTSPOT", swappingParams()));
     EXPECT_GT(stats.swapOuts, 0u);
-    EXPECT_GT(stats.tlbShootdowns, 0u);
+    if (scheme != Scheme::NMT) {
+        EXPECT_GT(stats.tlbShootdowns, 0u);
+    }
 
     const auto &lanes = machine.laneSheets();
-    ASSERT_EQ(lanes.size(), shadowSizes().size() - 1);
+    ASSERT_EQ(lanes.size(),
+              publishedSchemes(scheme).size() * shadowSizes().size() - 1);
+    bool tlbLanes = false, dlbLanes = false;
     for (const LaneSheet &lane : lanes) {
-        // Every lane must have been shot down, or the check is blind.
-        EXPECT_GT(lane.stats.tlbShootdowns, 0u);
-        SCOPED_TRACE(std::to_string(lane.entries) + " entries");
-        Machine alone(swappingConfig(scheme, lane.entries, assoc));
+        SCOPED_TRACE(std::string(schemeName(lane.scheme)) + " " +
+                     std::to_string(lane.entries) + " entries");
+        // Every lane with a structure must have been shot down, or
+        // the check is blind.
+        const SchemeTraits traits = schemeTraits(lane.scheme);
+        if (traits.perNodeTlb || traits.hasDlb) {
+            EXPECT_GT(lane.stats.tlbShootdowns, 0u);
+        }
+        tlbLanes |= traits.perNodeTlb;
+        dlbLanes |= traits.hasDlb;
+        Machine alone(swappingConfig(lane.scheme, lane.entries, assoc));
         const RunStats expected =
             alone.run(*makeWorkload("HOTSPOT", swappingParams()));
         EXPECT_EQ(sheetOf(lane.stats), sheetOf(expected));
+    }
+    // A class machine carries both kinds of lane, whatever its scheme.
+    if (inSiblingClass(scheme)) {
+        EXPECT_TRUE(tlbLanes && dlbLanes);
     }
     EXPECT_NO_THROW(InvariantChecker(machine).enforce());
 }
@@ -368,7 +465,8 @@ TEST_P(LaneShootdowns, EveryLaneMatchesASeparateMachine)
 INSTANTIATE_TEST_SUITE_P(
     Structures, LaneShootdowns,
     ::testing::Combine(::testing::Values(Scheme::L0, Scheme::L2,
-                                         Scheme::L3, Scheme::VCOMA),
+                                         Scheme::L3, Scheme::VCOMA,
+                                         Scheme::NMT),
                        ::testing::Values(0u, 1u)),
     [](const auto &info) {
         std::string name = schemeName(std::get<0>(info.param));
@@ -377,14 +475,19 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
- * The stale-translation check covers every lane: a swapped-out page's
- * translation poked back into a lane after its purge is reported,
- * naming the lane.
+ * The stale-translation check covers every lane, a sibling scheme's
+ * too: a swapped-out page's translation poked back into a lane after
+ * its purge is reported, naming the lane. The TLB lanes of an L2 and
+ * of a V-COMA machine, the DLB lanes of a V-COMA and of an L3 machine.
  */
 TEST(Lanes, CheckerReportsAStaleLaneEntry)
 {
-    for (Scheme scheme : {Scheme::L2, Scheme::VCOMA}) {
-        SCOPED_TRACE(schemeName(scheme));
+    const std::vector<std::pair<Scheme, bool>> cases{
+        {Scheme::L2, false}, {Scheme::VCOMA, true},
+        {Scheme::VCOMA, false}, {Scheme::L3, true}};
+    for (const auto &[scheme, dlbLane] : cases) {
+        SCOPED_TRACE(std::string(schemeName(scheme)) +
+                     (dlbLane ? ", DLB lane" : ", TLB lane"));
         Machine machine(swappingConfig(scheme, 32, 0));
         machine.run(*makeWorkload("HOTSPOT", swappingParams()));
         ASSERT_TRUE(InvariantChecker(machine).checkAll().empty());
@@ -402,13 +505,14 @@ TEST(Lanes, CheckerReportsAStaleLaneEntry)
 
         Node &node = machine.node(0);
         std::string lane;
-        if (node.tlbLanes) {
-            node.tlbLanes->access(purged);
-            lane = "-entry TLB lane at node 0";
-        } else {
+        if (dlbLane) {
             ASSERT_FALSE(node.dlbLanes.empty());
             node.dlbLanes.back().tlb().access(purged);
             lane = "512-entry DLB lane at node 0";
+        } else {
+            ASSERT_TRUE(node.tlbLanes);
+            node.tlbLanes->access(purged);
+            lane = "-entry TLB lane at node 0";
         }
         const auto violations = InvariantChecker(machine).checkAll();
         ASSERT_FALSE(violations.empty());
@@ -419,4 +523,79 @@ TEST(Lanes, CheckerReportsAStaleLaneEntry)
         }
         EXPECT_TRUE(reported) << violations.front().detail;
     }
+}
+
+// ---------------------------------------------------------------------
+// Sibling schemes: the premise the class lanes rest on.
+// ---------------------------------------------------------------------
+
+class SiblingSchemes
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
+{
+};
+
+/**
+ * Untimed L3-TLB, V-COMA and NMT are one machine trajectory: for every
+ * kernel at tinyConfig (4 nodes), plain and under swapping, their
+ * sheets agree byte for byte once clearTranslationFields() (the one
+ * list Machine::collect also uses) has cleared the fields a sibling
+ * may differ in.
+ */
+TEST_P(SiblingSchemes, UntimedTrajectoryIsShared)
+{
+    const auto &[kernel, swapping] = GetParam();
+    const std::vector<std::string> &paper = paperBenchmarks();
+    WorkloadParams params = swappingParams();
+    // OCEAN's grid bottoms out near this scale; the small kernels
+    // need more to fill the machine.
+    params.scale =
+        std::count(paper.begin(), paper.end(), kernel) ? 0.03 : 0.5;
+    std::string first;
+    for (Scheme scheme : siblingClass) {
+        SCOPED_TRACE(schemeName(scheme));
+        MachineConfig cfg = swapping ? swappingConfig(scheme, 8, 0)
+                                     : tinyConfig(scheme, 8, 0);
+        cfg.timedTranslation = false;
+        Machine machine(cfg);
+        RunStats stats = machine.run(*makeWorkload(kernel, params));
+        clearTranslationFields(stats);
+        if (first.empty()) {
+            first = sheetOf(stats);
+        } else {
+            EXPECT_EQ(sheetOf(stats), first);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, SiblingSchemes,
+    ::testing::Combine(::testing::ValuesIn(workloadNames()),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        return std::get<0>(info.param) +
+               (std::get<1>(info.param) ? "_swapping" : "_plain");
+    });
+
+/**
+ * With the reference-bit decay daemon on, V-COMA's DLB (which sets
+ * reference bits on write-back notices and injections too) steers the
+ * page daemon away from L3's choices: the trajectories part, and a
+ * class config's lanes keep to its own scheme.
+ */
+TEST(SiblingLanes, DecayDaemonKeepsLanesToOneScheme)
+{
+    std::string sheets[2];
+    for (Scheme scheme : {Scheme::L3, Scheme::VCOMA}) {
+        MachineConfig cfg = swappingConfig(scheme, 8, 0);
+        cfg.refBitDecayPeriod = 20000;
+        Machine machine(cfg);
+        RunStats stats =
+            machine.run(*makeWorkload("HOTSPOT", swappingParams()));
+        for (const LaneSheet &lane : machine.laneSheets())
+            EXPECT_EQ(lane.scheme, scheme);
+        EXPECT_EQ(machine.laneSheets().size(), shadowSizes().size() - 1);
+        clearTranslationFields(stats);
+        sheets[scheme == Scheme::VCOMA] = sheetOf(stats);
+    }
+    EXPECT_NE(sheets[0], sheets[1]);
 }

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -302,6 +303,46 @@ TEST(MemRefPack, RejectsOutOfRangeKind)
     writer.append(0, bad);
     ASSERT_TRUE(writer.finalize());
     expectRejected(path, "invalid kind/type");
+}
+
+TEST(MemRefPack, RejectsVersion2)
+{
+    // A v2 file (the reserved word at offset 60 held no checksum)
+    // must re-record, not load.
+    TempDir dir;
+    const std::string path = writeSampleTrace(dir);
+    auto bytes = readFile(path);
+    bytes[8] = 2;
+    writeFile(path, bytes);
+    expectRejected(path, "version 2 unsupported");
+}
+
+TEST(MemRefPack, RejectsCorruptHeaderStringsAndPadding)
+{
+    // The header checksum covers every byte before the payload: the
+    // key string, the string padding, the checksum word itself and
+    // the flag bits the reader has no other use for.
+    TempDir dir;
+    const std::string path = writeSampleTrace(dir);
+    const auto clean = readFile(path);
+    std::uint32_t lengths[3] = {};  // key, name, params
+    std::memcpy(lengths, clean.data() + 48, sizeof(lengths));
+    const std::size_t padding =
+        packedHeaderBytes + lengths[0] + lengths[1] + lengths[2];
+    ASSERT_NE(padding % 8, 0u) << "the sample's strings need padding";
+    for (std::size_t at :
+         {std::size_t{packedHeaderBytes}, padding, std::size_t{60},
+          std::size_t{63}}) {
+        SCOPED_TRACE("byte " + std::to_string(at));
+        auto bytes = clean;
+        bytes[at] ^= 0x04;
+        writeFile(path, bytes);
+        expectRejected(path, "header checksum mismatch");
+    }
+    auto flags = clean;
+    flags[21] ^= 0x01;  // u32 flags at offset 20: bit 8
+    writeFile(path, flags);
+    expectRejected(path, "unknown flag bits");
 }
 
 TEST(MemRefPack, RejectsZeroThreads)

@@ -276,7 +276,8 @@ runDirect(Options &opt)
                        sheet.str());
     }
     // One simulation serves every TLB/DLB size of an untimed config,
-    // so this can be fewer than the configs reported simulated.
+    // and L3-TLB, V-COMA and NMT alike, so this can be fewer than the
+    // configs reported simulated.
     std::cerr << "vcoma_client: " << runner.executed()
               << " simulation(s) for " << cfgs.size() << " config(s)\n";
     return rc;

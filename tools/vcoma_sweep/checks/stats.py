@@ -13,7 +13,12 @@ Checks, per JSONL line in STATS.jsonl:
   * shadow-sweep points never report more misses than accesses;
   * the DLB filtering invariant for V-COMA lines: the home DLBs see
     only the remote protocol traffic, so filteredRefs + the DLB's
-    demand accesses account for all processor references.
+    demand accesses account for all processor references;
+  * ownership: each sheet carries only its own scheme's translation
+    counters. dlb.* and latency.dlbFill.count are zero unless the
+    scheme is V-COMA, and tlb.* is zero for NMT (no structure at all),
+    so a sibling's sheet cannot leak the fields of the run it was
+    served from.
 
 With --trace, also checks the Chrome trace file: valid JSON, a
 traceEvents list, and per-(pid, tid) monotonically non-decreasing
@@ -109,7 +114,27 @@ def check_stats_line(line_no, obj):
                  f"filtered {absorbed} + DLB accesses {seen} != "
                  f"refs {totals['refs']}")
 
+    check_ownership(where, obj)
     return obj
+
+
+def all_zero(block):
+    """Every number in a (nested) sheet block is zero."""
+    if isinstance(block, dict):
+        return all(all_zero(v) for v in block.values())
+    return block == 0
+
+
+def check_ownership(where, obj):
+    scheme = obj["scheme"]
+    if scheme != "V-COMA":
+        if not all_zero(obj["dlb"]):
+            fail(f"{where}: {scheme} sheet carries DLB counters "
+                 f"{obj['dlb']}")
+        if obj["latency"]["dlbFill"]["count"] != 0:
+            fail(f"{where}: {scheme} sheet carries DLB fills")
+    if scheme == "NMT" and not all_zero(obj["tlb"]):
+        fail(f"{where}: NMT sheet carries TLB counters {obj['tlb']}")
 
 
 def check_trace(path):

@@ -45,6 +45,58 @@ class StatsCheckTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("totals.refs", err)
 
+    def fixture_line(self, scheme):
+        with open(FIXTURE, "r", encoding="utf-8") as f:
+            for line in f:
+                obj = json.loads(line)
+                if obj["scheme"] == scheme:
+                    return obj
+        self.fail(f"no {scheme} line in the fixture")
+
+    def check_one(self, obj):
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "s.jsonl")
+            with open(p, "w", encoding="utf-8") as f:
+                f.write(json.dumps(obj) + "\n")
+            return run_main([p])
+
+    def nmt_line(self):
+        """The V-COMA fixture line as an NMT sheet of the same run."""
+        obj = self.fixture_line("V-COMA")
+        obj["scheme"] = "NMT"
+        for block in (obj["tlb"], obj["dlb"]):
+            for key, value in block.items():
+                block[key] = ({k: 0 for k in value}
+                              if isinstance(value, dict) else 0)
+        obj["latency"]["dlbFill"] = {k: 0 for k in
+                                     obj["latency"]["dlbFill"]}
+        return obj
+
+    def test_ownership_passes_a_clean_nmt_sheet(self):
+        code, _out, err = self.check_one(self.nmt_line())
+        self.assertEqual(code, 0, err)
+
+    def test_leaked_dlb_counters_fail(self):
+        # An L0 sheet may carry no DLB evidence at all.
+        obj = self.fixture_line("L0-TLB")
+        obj["dlb"]["prefetchedFills"] = 1
+        code, _out, err = self.check_one(obj)
+        self.assertEqual(code, 1)
+        self.assertIn("L0-TLB sheet carries DLB counters", err)
+
+        obj = self.nmt_line()
+        obj["latency"]["dlbFill"]["count"] = 3
+        code, _out, err = self.check_one(obj)
+        self.assertEqual(code, 1)
+        self.assertIn("NMT sheet carries DLB fills", err)
+
+    def test_leaked_tlb_counters_fail_for_nmt(self):
+        obj = self.nmt_line()
+        obj["tlb"]["writebackAccesses"] = 7
+        code, _out, err = self.check_one(obj)
+        self.assertEqual(code, 1)
+        self.assertIn("NMT sheet carries TLB counters", err)
+
     def test_empty_file_fails(self):
         with tempfile.TemporaryDirectory() as d:
             p = os.path.join(d, "s.jsonl")
