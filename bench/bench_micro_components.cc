@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hh"
+#include "coma/attraction_memory.hh"
 #include "common/rng.hh"
 #include "mem/cache.hh"
 #include "sim/dispatch_queue.hh"
@@ -136,6 +137,43 @@ BM_DispatchTree(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DispatchTree);
+
+/**
+ * One AttractionMemory::find in one of 32 full attraction memories of
+ * the baseline geometry (4 MB, 4-way, 128 B blocks), at a seeded
+ * random node and block: like the simulator's probes, nearly every
+ * one misses the host cache. Half the probed blocks are resident.
+ */
+void
+BM_AttractionMemoryFind(benchmark::State &state)
+{
+    constexpr unsigned numAms = 32;
+    const CacheConfig geom = MachineConfig{}.am;
+    const std::uint64_t frames = geom.numSets() * geom.assoc;
+    std::vector<std::unique_ptr<AttractionMemory>> ams;
+    for (unsigned n = 0; n < numAms; ++n) {
+        auto &am = *ams.emplace_back(
+            std::make_unique<AttractionMemory>("am", geom));
+        for (std::uint64_t b = 0; b < frames; ++b) {
+            const VAddr addr = b * geom.blockBytes;
+            am.installAt(am.chooseVictim(addr).lineIndex, addr,
+                         AmState::Shared, 0);
+        }
+    }
+    Rng rng(6);
+    std::vector<std::pair<AttractionMemory *, VAddr>> probes(1 << 16);
+    for (auto &[am, addr] : probes) {
+        am = ams[rng.below(numAms)].get();
+        addr = rng.below(2 * frames) * geom.blockBytes;
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const auto &[am, addr] = probes[i++ & 0xFFFF];
+        benchmark::DoNotOptimize(am->find(addr));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AttractionMemoryFind);
 
 void
 BM_LocalHitPath(benchmark::State &state)

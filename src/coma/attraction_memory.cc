@@ -1,7 +1,10 @@
 #include "coma/attraction_memory.hh"
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "common/bitops.hh"
-#include "common/logging.hh"
 
 namespace vcoma
 {
@@ -24,7 +27,13 @@ AttractionMemory::AttractionMemory(std::string name, const CacheConfig &cfg)
     cfg_.validate(name_.c_str());
     blockBits_ = exactLog2(cfg_.blockBytes);
     setBits_ = exactLog2(cfg_.numSets());
-    lines_.resize(cfg_.numSets() * cfg_.assoc);
+    numLines_ = cfg_.numSets() * cfg_.assoc;
+    // operator new aligns to 16 bytes; up to three spare lines reach
+    // the next 64-byte boundary.
+    constexpr std::size_t perHostLine = 64 / sizeof(AmLine);
+    storage_.resize(numLines_ + perHostLine - 1);
+    const auto addr = reinterpret_cast<std::uintptr_t>(storage_.data());
+    lines_ = storage_.data() + (-addr % 64) / sizeof(AmLine);
 }
 
 std::uint64_t
@@ -56,15 +65,6 @@ AttractionMemory::state(VAddr addr) const
 {
     const AmLine *line = find(addr);
     return line ? line->state : AmState::Invalid;
-}
-
-void
-AttractionMemory::touch(VAddr addr)
-{
-    AmLine *line = find(addr);
-    if (!line)
-        panic(name_, ": touch of absent block");
-    line->lastUse = ++useClock_;
 }
 
 VictimChoice
@@ -110,14 +110,14 @@ AttractionMemory::installAt(std::size_t lineIndex, VAddr addr, AmState st,
                             std::uint32_t version)
 {
     VCOMA_ASSERT(st != AmState::Invalid);
-    AmLine &line = lines_.at(lineIndex);
+    AmLine &line = this->line(lineIndex);
     VCOMA_ASSERT(!line.valid());
     line.key = blockAlign(addr);
     VCOMA_ASSERT(setOf(line.key) * cfg_.assoc <= lineIndex &&
                  lineIndex < (setOf(line.key) + 1) * cfg_.assoc);
     line.state = st;
     line.version = version;
-    line.lastUse = ++useClock_;
+    line.lastUse = nextStamp();
     ++installs;
     return line;
 }
@@ -138,11 +138,29 @@ std::uint64_t
 AttractionMemory::validLines() const
 {
     std::uint64_t count = 0;
-    for (const auto &line : lines_) {
-        if (line.valid())
+    for (std::size_t i = 0; i < numLines_; ++i) {
+        if (lines_[i].valid())
             ++count;
     }
     return count;
+}
+
+void
+AttractionMemory::renumberStamps()
+{
+    const unsigned assoc = cfg_.assoc;
+    std::vector<unsigned> order(assoc);
+    for (std::size_t base = 0; base < numLines_; base += assoc) {
+        AmLine *set = &lines_[base];
+        std::iota(order.begin(), order.end(), 0u);
+        std::stable_sort(order.begin(), order.end(),
+                         [set](unsigned a, unsigned b) {
+                             return set[a].lastUse < set[b].lastUse;
+                         });
+        for (unsigned rank = 0; rank < assoc; ++rank)
+            set[order[rank]].lastUse = rank + 1;
+    }
+    useClock_ = assoc;
 }
 
 } // namespace vcoma

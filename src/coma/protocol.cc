@@ -495,7 +495,7 @@ CoherenceEngine::remoteRead(Node &n, const BlockCtx &ctx, Tick t,
     if (!supLine || !isOwnerState(supLine->state))
         panic("directory owner has no owned copy, va ", ctx.blockVa);
     checkVersion(ctx, supLine, 1);
-    supplier.am.touch(ctx.amKey);
+    supplier.am.touchLine(*supLine);
     if (supLine->state == AmState::Exclusive) {
         supLine->state = AmState::MasterShared;
         e.exclusive = false;
@@ -577,7 +577,7 @@ CoherenceEngine::remoteWrite(Node &n, const BlockCtx &ctx, bool hasData,
             panic("upgrade without a local copy, va ", ctx.blockVa);
         line->state = AmState::Exclusive;
         line->version = e.version;
-        n.am.touch(ctx.amKey);
+        n.am.touchLine(*line);
     } else {
         installBlock(n, ctx, AmState::Exclusive, done);
     }
@@ -839,7 +839,7 @@ CoherenceEngine::accessImpl(CpuId cpu, RefType type, VAddr va, Tick now)
         if (line) {
             // Local attraction-memory hit.
             checkVersion(ctx, line, 1);
-            node.am.touch(ctx.amKey);
+            node.am.touchLine(*line);
             ++node.am.hits;
             t = node.amPort.acquire(t, tm.amHit) + tm.amHit;
             res.done = t;
@@ -871,7 +871,7 @@ CoherenceEngine::accessImpl(CpuId cpu, RefType type, VAddr va, Tick now)
         VCOMA_ASSERT(e.owner == node.id && e.exclusive);
         ++e.version;
         line->version = e.version;
-        node.am.touch(ctx.amKey);
+        node.am.touchLine(*line);
         if (slcRes.hit) {
             t += tm.slcHit;
             res.servedBy = ServedBy::Slc;
