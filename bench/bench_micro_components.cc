@@ -264,6 +264,6 @@ main(int argc, char **argv)
     RecordingReporter reporter(report);
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
-    report.finish(nullptr);
+    report.finish();
     return 0;
 }

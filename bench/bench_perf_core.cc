@@ -300,7 +300,7 @@ main()
     report.metric("kvlookup_refs_per_sec_replay", kvReplay.refsPerSec);
     report.metric("kvlookup_replay_speedup",
                   kvReplay.refsPerSec / kvLive.refsPerSec);
-    report.finish(nullptr);
+    report.finish();
 
     bool ok = true;
     if (fast.json != slow.json || fast.dump != slow.dump) {

@@ -1,12 +1,6 @@
 /**
  * @file
- * Shared scaffolding for the per-table/figure benchmark binaries:
- * a Runner wired to the environment ($VCOMA_SCALE problem scale,
- * $VCOMA_CACHE_DIR / $VCOMA_NO_CACHE result cache, $VCOMA_JOBS
- * parallel workers) and a banner.
- *
- * The banner deliberately never prints the effective job count:
- * bench output must stay byte-identical whatever VCOMA_JOBS is.
+ * The run report every benchmark binary writes (BENCH_<name>.json).
  */
 
 #ifndef VCOMA_BENCH_BENCH_UTIL_HH
@@ -15,15 +9,11 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
-#include <iostream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/json.hh"
-#include "harness/experiments.hh"
-#include "harness/runner.hh"
 
 namespace vcoma_bench
 {
@@ -41,10 +31,9 @@ namespace vcoma_bench
 
 /**
  * Machine-readable run report: every bench binary writes
- * BENCH_<name>.json next to its working directory so CI can collect
- * wall time and executed-simulation counts without scraping the
- * (human-oriented) table output. Writing a side file never perturbs
- * stdout, so the byte-identity guarantee on table output holds.
+ * BENCH_<name>.json next to its working directory so CI and the
+ * dashboard can collect wall time and metrics without scraping
+ * stdout.
  *
  * Report format versions: schema 1 had no provenance; schema 2 adds
  * the format version discipline itself plus the `git` build stamp.
@@ -69,12 +58,12 @@ class BenchReport
     }
 
     /**
-     * Write BENCH_<name>.json. Pass the Runner when the bench has one
-     * so the report carries its executed/failure counts; pass nullptr
-     * for benches without a Runner (the micro-benchmarks).
+     * Write BENCH_<name>.json. The benches drive components directly,
+     * not through a Runner, so the report's executed/failure counts
+     * (kept for the report format) are zero.
      */
     void
-    finish(const vcoma::Runner *runner) const
+    finish() const
     {
         const double wallMs =
             std::chrono::duration<double, std::milli>(
@@ -87,9 +76,7 @@ class BenchReport
             << "\",\"schema\":2,\"git\":\""
             << vcoma::jsonEscape(VCOMA_GIT_DESCRIBE)
             << "\",\"wall_ms\":" << wallMs
-            << ",\"executed\":" << (runner ? runner->executed() : 0)
-            << ",\"failures\":"
-            << (runner ? runner->failures().size() : 0);
+            << ",\"executed\":0,\"failures\":0";
         if (!metrics_.empty()) {
             out << ",\"metrics\":{";
             bool first = true;
@@ -113,68 +100,6 @@ class BenchReport
     std::chrono::steady_clock::time_point start_;
     std::vector<std::pair<std::string, double>> metrics_;
 };
-
-/** Print the standard banner and return the configured scale. */
-inline double
-banner(const char *what)
-{
-    const double scale = vcoma::Runner::envScale();
-    std::cout << "V-COMA reproduction - " << what << "\n"
-              << "(problem scale " << scale
-              << "; set VCOMA_SCALE to change, VCOMA_SCALE=16 "
-                 "approaches the paper's data sets; VCOMA_JOBS "
-                 "bounds the parallel workers)\n\n";
-    return scale;
-}
-
-/**
- * Output sink: renders tables as aligned text, or as CSV when the
- * binary is invoked with --csv.
- */
-class TableSink
-{
-  public:
-    TableSink(int argc, char **argv)
-    {
-        for (int i = 1; i < argc; ++i) {
-            if (std::string_view(argv[i]) == "--csv")
-                csv_ = true;
-        }
-    }
-
-    void
-    operator()(const vcoma::Table &table) const
-    {
-        if (csv_)
-            table.printCsv(std::cout);
-        else
-            table.print(std::cout);
-    }
-
-    bool csv() const { return csv_; }
-
-  private:
-    bool csv_ = false;
-};
-
-inline void
-footer(const vcoma::Runner &runner)
-{
-    // Only mention failures when there are any: with a clean sweep
-    // the output must stay byte-identical to older builds.
-    const auto failures = runner.failures();
-    if (!failures.empty()) {
-        std::cout << "[" << failures.size()
-                  << " configuration(s) failed to simulate; their "
-                     "table cells read n/a*. Set VCOMA_STRICT=1 to "
-                     "fail fast instead.]\n";
-        for (const auto &f : failures)
-            std::cout << "  " << f.error << "\n";
-    }
-    std::cout << "[" << runner.executed()
-              << " simulation(s) executed; the rest served from the "
-                 "result cache]\n";
-}
 
 } // namespace vcoma_bench
 

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -186,21 +185,6 @@ Runner::Runner(std::string cacheDir)
         if (const std::uint64_t maxBytes = envTraceMaxBytes())
             pruneTraces(traceDir_, maxBytes);
     }
-}
-
-double
-Runner::envScale()
-{
-    const char *s = std::getenv("VCOMA_SCALE");
-    if (!s || !*s)
-        return 1.0;
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || !std::isfinite(v) || v <= 0) {
-        warn("unparsable VCOMA_SCALE='", s, "': using scale 1.0");
-        return 1.0;
-    }
-    return v;
 }
 
 std::string
@@ -707,15 +691,6 @@ paperBenchmarks()
 {
     static const std::vector<std::string> names{
         "RADIX", "FFT", "FMM", "RAYTRACE", "BARNES", "OCEAN",
-    };
-    return names;
-}
-
-const std::vector<std::string> &
-datacenterBenchmarks()
-{
-    static const std::vector<std::string> names{
-        "KVLOOKUP", "GRAPH", "STREAMJOIN",
     };
     return names;
 }

@@ -169,9 +169,6 @@ class Runner
     /** Recorded failure text for @p key, or empty when none. */
     std::string failureMessage(const std::string &key) const;
 
-    /** Problem scale from $VCOMA_SCALE (default 1.0). */
-    static double envScale();
-
     /** $VCOMA_CACHE_DIR, or ".vcoma_cache"; truthy $VCOMA_NO_CACHE -> "". */
     static std::string defaultCacheDir();
 
@@ -263,9 +260,6 @@ class Runner
 
 /** The six paper benchmarks in Table 2's row order. */
 const std::vector<std::string> &paperBenchmarks();
-
-/** The synthetic datacenter kernels (KVLOOKUP, GRAPH, STREAMJOIN). */
-const std::vector<std::string> &datacenterBenchmarks();
 
 } // namespace vcoma
 

@@ -201,13 +201,4 @@ schemeUsesVirtualAm(Scheme s)
     return schemeDescriptor(s).traits.amVirtual;
 }
 
-double
-virtualTagOverhead(unsigned blockBytes, unsigned extraTagBytes)
-{
-    if (blockBytes == 0)
-        fatal("virtualTagOverhead: zero block size");
-    return static_cast<double>(extraTagBytes) /
-           static_cast<double>(blockBytes);
-}
-
 } // namespace vcoma

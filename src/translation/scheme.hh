@@ -147,15 +147,6 @@ Scheme parseScheme(const std::string &token);
 /** Traits for @p scheme (from its descriptor). */
 SchemeTraits schemeTraits(Scheme scheme);
 
-/**
- * Extra tag memory implied by virtual tags (Section 6 discussion):
- * the virtual tag is @p extraTagBytes longer than a physical tag, so
- * the tag overhead grows by extraTagBytes/blockBytes of the data
- * capacity.
- * @return the overhead as a fraction of the tagged memory's capacity.
- */
-double virtualTagOverhead(unsigned blockBytes, unsigned extraTagBytes);
-
 } // namespace vcoma
 
 #endif // VCOMA_TRANSLATION_SCHEME_HH

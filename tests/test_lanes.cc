@@ -142,7 +142,7 @@ std::vector<std::string>
 allKernels()
 {
     std::vector<std::string> kernels = paperBenchmarks();
-    for (const std::string &k : datacenterBenchmarks())
+    for (const char *k : {"KVLOOKUP", "GRAPH", "STREAMJOIN"})
         kernels.push_back(k);
     return kernels;
 }

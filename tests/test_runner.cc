@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "harness/experiments.hh"
 #include "harness/runner.hh"
 #include "sim/run_stats_json.hh"
 #include "tlb/shadow_bank.hh"
@@ -442,30 +441,6 @@ TEST(Runner, ConcurrentRunCallsAreSafe)
     EXPECT_EQ(runner.executed(), cfgs.size());
 }
 
-TEST(Runner, EnvScaleParsesStrictly)
-{
-    {
-        EnvGuard env("VCOMA_SCALE", "2.5");
-        EXPECT_DOUBLE_EQ(Runner::envScale(), 2.5);
-    }
-    {
-        EnvGuard env("VCOMA_SCALE", "fast");
-        EXPECT_DOUBLE_EQ(Runner::envScale(), 1.0);
-    }
-    {
-        EnvGuard env("VCOMA_SCALE", "2.5x");
-        EXPECT_DOUBLE_EQ(Runner::envScale(), 1.0);
-    }
-    {
-        EnvGuard env("VCOMA_SCALE", "-3");
-        EXPECT_DOUBLE_EQ(Runner::envScale(), 1.0);
-    }
-    {
-        EnvGuard env("VCOMA_SCALE", nullptr);
-        EXPECT_DOUBLE_EQ(Runner::envScale(), 1.0);
-    }
-}
-
 TEST(Runner, NoCacheAcceptsConventionalTruthyValues)
 {
     EnvGuard cacheDir("VCOMA_CACHE_DIR", nullptr);
@@ -618,29 +593,6 @@ TEST(RunStats, DerivedMetrics)
     EXPECT_DOUBLE_EQ(stats.missesPerNode(8, 0, false),
                      static_cast<double>(p.demandMisses) / 32.0);
     EXPECT_THROW(stats.shadowPoint(9999, 0), FatalError);
-}
-
-TEST(Experiments, TagOverheadMatchesPaperNumbers)
-{
-    // Section 6: 2-3 extra tag bytes => 1.5%-2.5% of AM for 128 B
-    // blocks, 3%-4.5% for 64 B, 6%-9% for 32 B.
-    EXPECT_NEAR(100 * virtualTagOverhead(128, 2), 1.56, 0.1);
-    EXPECT_NEAR(100 * virtualTagOverhead(128, 3), 2.34, 0.2);
-    EXPECT_NEAR(100 * virtualTagOverhead(64, 3), 4.69, 0.25);
-    EXPECT_NEAR(100 * virtualTagOverhead(32, 2), 6.25, 0.1);
-    EXPECT_NEAR(100 * virtualTagOverhead(32, 3), 9.38, 0.5);
-    const Table t = tagOverheadTable();
-    EXPECT_EQ(t.title().substr(0, 9), "Section 6");
-}
-
-TEST(Experiments, Table1ListsAllBenchmarks)
-{
-    const Table t = table1Benchmarks(0.05);
-    std::ostringstream os;
-    t.print(os);
-    const std::string text = os.str();
-    for (const auto &name : paperBenchmarks())
-        EXPECT_NE(text.find(name), std::string::npos) << name;
 }
 
 namespace

@@ -9,6 +9,7 @@ Commands:
   dashboard       build the BENCH_*.json history dashboard alone
   check-stats     validate stats JSONL, traces, BENCH reports
   check-perf      gate BENCH_perf_core.json against the baseline
+  check-claims    check the paper's claims on a collected sweep
 
 `run` is the push-button paper pipeline:
 
@@ -18,7 +19,7 @@ Spec paths resolve literally first, then against the stock specs
 shipped in vcoma_sweep/specs/. Everything lands in --out-dir
 (default sweep_out/<spec name>/): results.jsonl (byte-identical
 cold or warm), results.json (the normalized table), the declared
-fig*.svg files and dashboard.html.
+figures (*.svg) and tables (*.md), and dashboard.html.
 """
 
 import argparse
@@ -29,6 +30,7 @@ from . import collect as C
 from . import dashboard as D
 from . import render as R
 from . import submit as B
+from .checks import claims as check_claims
 from .checks import perf as check_perf
 from .checks import stats as check_stats
 from .spec import SpecError, load_spec
@@ -116,7 +118,7 @@ def cmd_render(args):
     spec = load_spec(args.spec)
     doc = C.read_results(args.results)
     paths = R.render_figures(spec, doc["rows"], args.out_dir, log=say)
-    say(f"{len(paths)} figure(s) -> {args.out_dir}")
+    say(f"{len(paths)} output(s) -> {args.out_dir}")
 
 
 def cmd_dashboard(args):
@@ -166,7 +168,8 @@ def main(argv=None):
     p.add_argument("--out", default="results.json")
     p.set_defaults(func=cmd_collect)
 
-    p = sub.add_parser("render", help="results.json -> fig*.svg")
+    p = sub.add_parser("render", help="results.json -> figures and "
+                                      "tables")
     p.add_argument("spec")
     p.add_argument("--results", required=True)
     p.add_argument("--out-dir", default=".")
@@ -186,10 +189,13 @@ def main(argv=None):
         return check_stats.main(argv[1:])
     if argv and argv[0] == "check-perf":
         return check_perf.main(argv[1:])
+    if argv and argv[0] == "check-claims":
+        return check_claims.main(argv[1:])
     if argv and argv[0] not in known and argv[0] not in (
             "-h", "--help"):
         die(f"unknown command {argv[0]!r} (run, expand, collect, "
-            "render, dashboard, check-stats, check-perf)")
+            "render, dashboard, check-stats, check-perf, "
+            "check-claims)")
 
     args = ap.parse_args(argv)
     try:

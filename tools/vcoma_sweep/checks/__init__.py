@@ -4,11 +4,13 @@
     JSONL sheets, Chrome traces and BENCH_*.json reports.
   * :mod:`vcoma_sweep.checks.perf` -- gates BENCH_perf_core.json
     ratios against bench/perf_baseline.json.
+  * :mod:`vcoma_sweep.checks.claims` -- checks the paper's claims on
+    a collected sweep.
 
 Run them as ``python3 -m vcoma_sweep check-stats ...`` /
-``check-perf ...``.
+``check-perf ...`` / ``check-claims ...``.
 """
 
-from . import perf, stats  # noqa: F401
+from . import claims, perf, stats  # noqa: F401
 
-__all__ = ["stats", "perf"]
+__all__ = ["stats", "perf", "claims"]

@@ -14,10 +14,14 @@ Each normalized row carries:
   * derived metrics: refs, exec time, the five cycle buckets,
     translation-structure accesses/misses, walks per 1k refs, miss
     percentage, misses per node, the xlat-over-stall share and the
-    pressure profile (for Fig. 11).
+    pressure profile (for Fig. 11);
+  * what the Markdown tables read: the shadow banks (misses at every
+    TLB/DLB size, both associativities), the workload's parameters
+    and footprint, VICTIMA's spill counters and the protocol and DLB
+    counters.
 
 Failed configs become rows with an "error" field and no metrics; the
-renderers skip them (the same n/a* discipline the ASCII tables use).
+figures skip them and the tables print their cells as n/a*.
 """
 
 import json
@@ -49,6 +53,11 @@ def _derive(row, rec, where):
         refs = totals["refs"]
         stall = totals["locStall"] + totals["remStall"]
         tlb = rec["tlb"]
+        # VICTIMA's spill probe rescues some TLB misses from the walk
+        # (arXiv:2310.04158); the key is absent for other schemes.
+        spill = rec.get("tlbSpill", {"probes": 0, "hits": 0})
+        walks = tlb["misses"] - spill["hits"]
+        protocol = rec["protocol"]
         row.update({
             "num_nodes": rec["numNodes"],
             "exec_time": rec["execTime"],
@@ -61,8 +70,7 @@ def _derive(row, rec, where):
             "xlat_over_total_stall_pct": rec["xlatOverTotalStallPct"],
             "tlb_accesses": tlb["accesses"],
             "tlb_misses": tlb["misses"],
-            "walks_per_1k_refs":
-                1000.0 * tlb["misses"] / refs if refs else 0.0,
+            "walks_per_1k_refs": 1000.0 * walks / refs if refs else 0.0,
             "miss_pct":
                 100.0 * tlb["misses"] / refs if refs else 0.0,
             "misses_per_node":
@@ -70,6 +78,18 @@ def _derive(row, rec, where):
                 else 0.0,
             "stall": stall,
             "pressure_profile": rec["pressureProfile"],
+            "shadow": rec["shadow"],
+            "parameters": rec["parameters"],
+            "shared_bytes": rec["sharedBytes"],
+            "spill_probes": spill["probes"],
+            "spill_hits": spill["hits"],
+            "injections": protocol["injections"],
+            "injection_hops": protocol["injectionHops"],
+            "shared_drops": protocol["sharedDrops"],
+            "swap_outs": protocol["swapOuts"],
+            "remote_reads": protocol["remoteReads"],
+            "dlb_filtered_refs": rec["dlb"]["filteredRefs"],
+            "dlb_shared_hits": rec["dlb"]["sharedHits"],
         })
     except (KeyError, TypeError) as e:
         raise CollectError(f"{where}: malformed stats record "

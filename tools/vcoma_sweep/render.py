@@ -1,6 +1,7 @@
-"""Render: normalized result rows -> the paper's figures, as SVG.
+"""Render: normalized result rows -> the paper's figures and tables.
 
-Four figure types, matching the spec's `figures` declarations:
+A declared `*.md` output is a Markdown table (tables.py); a `*.svg`
+one is a figure, of one of four types:
 
   * ``exec_breakdown`` -- stacked bars of the five cycle buckets
     (busy / sync / local stall / remote stall / translation stall),
@@ -14,7 +15,7 @@ Four figure types, matching the spec's `figures` declarations:
     global page sets, one line per workload under one scheme.
 
 Rows with an "error" field are skipped (rendered as a footnote
-count), mirroring the ASCII tables' n/a* discipline.
+count), as the tables print their cells n/a*.
 """
 
 import math
@@ -22,6 +23,7 @@ import os
 
 from . import svg as S
 from .collect import sweep_rows
+from .tables import RenderError, render_table
 
 BREAKDOWN_SEGMENTS = (
     ("busy", "busy"),
@@ -30,10 +32,6 @@ BREAKDOWN_SEGMENTS = (
     ("rem_stall", "remote stall"),
     ("xlat_stall", "translation"),
 )
-
-
-class RenderError(ValueError):
-    """Figure declaration that cannot be satisfied by the rows."""
 
 
 def _unique(seq):
@@ -263,12 +261,14 @@ RENDERERS = {
 
 
 def render_figure(fig, rows):
-    """One figure declaration -> SVG text."""
+    """One output declaration -> SVG or Markdown text."""
+    if fig.is_table:
+        return render_table(fig, rows)
     return RENDERERS[fig.type](fig, rows)
 
 
 def render_figures(spec, rows, out_dir, log=None):
-    """Render every declared figure into @out_dir; returns paths."""
+    """Render every declared output into @out_dir; returns paths."""
     say = log or (lambda _msg: None)
     os.makedirs(out_dir, exist_ok=True)
     paths = []

@@ -18,10 +18,17 @@ A spec is a JSON document:
         }
       ],
       "figures": [
-        {"file": "fig10.svg", "type": "miss_curves",
-         "sweep": "miss_curves", "x": "entries"}
+        {"file": "fig8.svg", "type": "miss_curves",
+         "sweep": "miss_curves", "x": "entries"},
+        {"file": "fig8.md", "type": "shadow_curves",
+         "sweep": "miss_curves"}
       ]
     }
+
+Outputs are named after the paper artefact they reproduce. A `*.svg`
+file is a figure (render.py, FIGURE_TYPES); a `*.md` file is a
+Markdown table (tables.py, TABLE_TYPES), which may read a list of
+sweeps and, for the arithmetic-only types, none.
 
 Expansion rules:
 
@@ -104,6 +111,16 @@ KNOBS = {
 }
 
 FIGURE_TYPES = ("exec_breakdown", "miss_rates", "miss_curves", "pressure")
+
+#: Markdown table types (tables.py); a `*.md` output declares one.
+TABLE_TYPES = ("benchmarks", "miss_rate_pct", "equivalent_size",
+               "shadow_curves", "direct_mapped", "stall_share",
+               "exec_time", "pressure_groups", "injection",
+               "dlb_scaling", "software_tlb", "am_assoc", "xlat_cost",
+               "layout", "knob_sweep", "walks", "tag_overhead")
+
+#: table types computed without any sweep.
+SWEEPLESS_TYPES = ("tag_overhead",)
 
 
 def canonical_scheme(token):
@@ -364,7 +381,8 @@ class Sweep:
 
 
 class Figure:
-    """One declared output figure over a sweep's collected rows."""
+    """One declared output over collected rows: an SVG figure or a
+    Markdown table, by the file's extension."""
 
     def __init__(self, obj, sweep_ids, index):
         if not isinstance(obj, dict):
@@ -376,19 +394,33 @@ class Figure:
                             f"{sorted(unknown)}")
         self.file = obj.get("file")
         if (not isinstance(self.file, str)
-                or not self.file.endswith(".svg")
+                or not self.file.endswith((".svg", ".md"))
                 or os.path.basename(self.file) != self.file):
             raise SpecError(f"figures[{index}]: file must be a bare "
-                            "*.svg name")
+                            "*.svg or *.md name")
+        self.is_table = self.file.endswith(".md")
+        types = TABLE_TYPES if self.is_table else FIGURE_TYPES
         self.type = obj.get("type")
-        if self.type not in FIGURE_TYPES:
-            raise SpecError(f"figures[{index}]: type must be one of "
-                            + ", ".join(FIGURE_TYPES))
-        self.sweep = obj.get("sweep")
-        if not isinstance(self.sweep, str) or self.sweep not in sweep_ids:
-            raise SpecError(f"figures[{index}]: sweep {self.sweep!r} is "
-                            "not declared")
+        if self.type not in types:
+            raise SpecError(f"figures[{index}]: {self.file} type must "
+                            "be one of " + ", ".join(types))
+        # A table may read several sweeps (Fig. 10's seed average, the
+        # software-TLB ablation); a figure reads exactly one.
+        sweeps = obj.get("sweep")
+        if self.is_table and isinstance(sweeps, list) and sweeps:
+            self.sweeps = sweeps
+        elif sweeps is None and self.type in SWEEPLESS_TYPES:
+            self.sweeps = []
+        else:
+            self.sweeps = [sweeps]
+        for sweep in self.sweeps:
+            if not isinstance(sweep, str) or sweep not in sweep_ids:
+                raise SpecError(f"figures[{index}]: sweep {sweep!r} is "
+                                "not declared")
+        self.sweep = ",".join(self.sweeps)
         self.title = obj.get("title", "")
+        if not isinstance(self.title, str):
+            raise SpecError(f"figures[{index}]: title must be a string")
         self.baseline = (canonical_scheme(obj["baseline"])
                          if "baseline" in obj else None)
         self.scheme = (canonical_scheme(obj["scheme"])

@@ -122,6 +122,46 @@ class CollectFixtureTest(unittest.TestCase):
                                         "does not line up"):
                 C.collect_jsonl(fixture_configs(), p)
 
+    def test_victima_walks_exclude_spill_hits(self):
+        """VICTIMA's spill probe rescues TLB misses from the walk
+        (arXiv:2310.04158): only misses that miss the spill too are
+        walks."""
+        rec = json.loads(fixture_lines()[0])   # UNIFORM under L0-TLB
+        rec["scheme"] = "VICTIMA"
+        misses = rec["tlb"]["misses"]
+        rec["tlbSpill"] = {"probes": misses, "hits": misses - 7,
+                           "fills": misses}
+        [cfg] = M.Spec({"name": "v", "defaults": {"scale": 0.05,
+                                                  "nodes": 8},
+                        "sweeps": [{"workloads": ["UNIFORM"],
+                                    "schemes": ["VICTIMA"]}]}).expand()
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "r.jsonl")
+            write_lines(p, [json.dumps(rec)])
+            [row] = C.collect_jsonl([cfg], p)
+        self.assertEqual(row["tlb_misses"], misses)
+        self.assertEqual((row["spill_probes"], row["spill_hits"]),
+                         (misses, misses - 7))
+        self.assertAlmostEqual(row["walks_per_1k_refs"],
+                               1000.0 * 7 / row["refs"])
+        # Without the key (every other scheme) no miss is rescued.
+        [l0] = C.collect_jsonl(fixture_configs(), FIXTURE)[:1]
+        self.assertEqual(l0["spill_hits"], 0)
+
+    def test_table_columns_kept(self):
+        rows = C.collect_jsonl(fixture_configs(), FIXTURE)
+        for r in rows:
+            self.assertEqual(len(r["shadow"]), 14)
+            self.assertTrue(r["parameters"])
+            self.assertGreater(r["shared_bytes"], 0)
+            for k in ("injections", "injection_hops", "shared_drops",
+                      "swap_outs", "remote_reads", "dlb_filtered_refs",
+                      "dlb_shared_hits"):
+                self.assertGreaterEqual(r[k], 0, k)
+        vcoma = rows[1]
+        self.assertEqual(vcoma["dlb_filtered_refs"]
+                         + vcoma["tlb_accesses"], vcoma["refs"])
+
     def test_nonfinite_json_rejected(self):
         with tempfile.TemporaryDirectory() as d:
             p = os.path.join(d, "r.jsonl")

@@ -210,6 +210,28 @@ class RejectionTest(unittest.TestCase):
                 make_spec(figures=[{"file": bad, "type": "miss_rates",
                                     "sweep": "s"}])
 
+    def test_table_outputs(self):
+        sweeps = [{"id": "s", "workloads": ["RADIX"], "schemes": ["L0"]},
+                  {"id": "t", "workloads": ["FFT"], "schemes": ["L0"]}]
+        s = make_spec(sweeps=sweeps, figures=[
+            {"file": "a.md", "type": "miss_rate_pct", "sweep": "s"},
+            {"file": "b.md", "type": "exec_time", "sweep": ["s", "t"]},
+            {"file": "c.md", "type": "tag_overhead"}])
+        self.assertEqual([f.sweeps for f in s.figures],
+                         [["s"], ["s", "t"], []])
+        self.assertTrue(all(f.is_table for f in s.figures))
+        bad = ({"file": "a.md", "type": "miss_rates", "sweep": "s"},
+               {"file": "a.svg", "type": "miss_rate_pct", "sweep": "s"},
+               {"file": "a.md", "type": "exec_time", "sweep": ["s", "x"]},
+               {"file": "a.md", "type": "exec_time", "sweep": [1]},
+               {"file": "a.md", "type": "exec_time", "sweep": []},
+               {"file": "a.md", "type": "exec_time"},
+               {"file": "a.md", "type": "exec_time", "sweep": "s",
+                "title": 3})
+        for fig in bad:
+            with self.assertRaises(M.SpecError, msg=repr(fig)):
+                make_spec(sweeps=sweeps, figures=[fig])
+
     def test_duplicate_figure_files(self):
         figs = [{"file": "a.svg", "type": "miss_rates", "sweep": "s"},
                 {"file": "a.svg", "type": "pressure", "sweep": "s"}]
@@ -224,10 +246,13 @@ class RejectionTest(unittest.TestCase):
                                "schemes": ["L0"], "axes": {}}])
 
 
+STOCK_SPECS = ("smoke.json", "paper_grid.json", "datacenter_grid.json",
+               "modern_showdown.json", "paper_ablations.json")
+
+
 class LoadSpecTest(unittest.TestCase):
     def test_stock_specs_load_and_expand(self):
-        for name in ("smoke.json", "paper_grid.json",
-                     "datacenter_grid.json", "modern_showdown.json"):
+        for name in STOCK_SPECS:
             s = M.load_spec(os.path.join("specs", name))
             self.assertTrue(s.expand(), name)
             self.assertTrue(s.figures, name)
@@ -254,8 +279,6 @@ class LoadSpecTest(unittest.TestCase):
                 M.load_spec(p)
 
 
-STOCK_SPECS = ("smoke.json", "paper_grid.json", "datacenter_grid.json",
-               "modern_showdown.json")
 #: what a structural mutation puts in place of a node.
 REPLACEMENTS = (None, True, False, 0, -1, 0.5, math.inf, -math.inf,
                 math.nan, 2 ** 70, "", "RADIX", [], [1, "x"], {},
