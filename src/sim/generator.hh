@@ -14,6 +14,7 @@
 
 #include <coroutine>
 #include <exception>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -27,7 +28,13 @@ class Generator
   public:
     struct promise_type
     {
-        T current{};
+        /**
+         * The value of the last co_yield: the yielded object itself
+         * (a temporary in the coroutine frame, or the yielded lvalue),
+         * which lives until the coroutine resumes. Pointing at it
+         * saves copying every value through the frame.
+         */
+        const T *current = nullptr;
         std::exception_ptr exception;
 
         Generator
@@ -41,9 +48,9 @@ class Generator
         std::suspend_always final_suspend() noexcept { return {}; }
 
         std::suspend_always
-        yield_value(T value) noexcept
+        yield_value(const T &value) noexcept
         {
-            current = std::move(value);
+            current = std::addressof(value);
             return {};
         }
 
@@ -90,15 +97,15 @@ class Generator
             std::rethrow_exception(handle_.promise().exception);
         if (handle_.done())
             return std::nullopt;
-        return handle_.promise().current;
+        return *handle_.promise().current;
     }
 
     /**
      * Advance the coroutine and return a pointer to the next value,
-     * or nullptr when the stream is exhausted. The pointee lives in
-     * the coroutine frame and is overwritten by the following
-     * advance; the per-reference simulation loop uses this to avoid
-     * two value copies per event.
+     * or nullptr when the stream is exhausted. The pointee is the
+     * yielded object and is gone after the following advance; the
+     * per-reference simulation loop uses this to avoid copying each
+     * event.
      */
     const T *
     nextPtr()
@@ -110,7 +117,7 @@ class Generator
             std::rethrow_exception(handle_.promise().exception);
         if (handle_.done())
             return nullptr;
-        return &handle_.promise().current;
+        return handle_.promise().current;
     }
 
     /** True if the coroutine can still produce values. */

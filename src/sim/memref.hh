@@ -18,7 +18,10 @@
 namespace vcoma
 {
 
-/** One event in a simulated thread's execution stream. */
+/**
+ * One event in a simulated thread's execution stream: 16 bytes, laid
+ * out exactly as one packed trace record (sim/memref_pack.hh).
+ */
 struct MemRef
 {
     /** What kind of event this is. */
@@ -33,42 +36,80 @@ struct MemRef
     Kind kind = Kind::Mem;
     /** Read or write (Kind::Mem only). */
     RefType type = RefType::Read;
-    /** Virtual address of the access (Kind::Mem only). */
-    VAddr vaddr = 0;
     /** Busy (compute) cycles preceding this event. */
     std::uint32_t work = 0;
-    /** Barrier or lock identifier (synchronisation kinds only). */
-    std::uint32_t syncId = 0;
+    /**
+     * The operand: one 8-byte word read through the member @ref kind
+     * names. A sync event holds its id zero-extended, so read
+     * @ref vaddr only for Kind::Mem and @ref syncId only otherwise.
+     */
+    union
+    {
+        /** Virtual address of the access (Kind::Mem only). */
+        VAddr vaddr = 0;
+        /** Barrier or lock identifier (synchronisation kinds only). */
+        std::uint32_t syncId;
+    };
 
     /** Convenience constructors. */
     static MemRef
     read(VAddr a, std::uint32_t work = 1)
     {
-        return {Kind::Mem, RefType::Read, a, work, 0};
+        return mem(RefType::Read, a, work);
     }
 
     static MemRef
     write(VAddr a, std::uint32_t work = 1)
     {
-        return {Kind::Mem, RefType::Write, a, work, 0};
+        return mem(RefType::Write, a, work);
     }
 
     static MemRef
     barrier(std::uint32_t id, std::uint32_t work = 0)
     {
-        return {Kind::Barrier, RefType::Read, 0, work, id};
+        return sync(Kind::Barrier, id, work);
     }
 
     static MemRef
     lock(std::uint32_t id, std::uint32_t work = 0)
     {
-        return {Kind::LockAcquire, RefType::Read, 0, work, id};
+        return sync(Kind::LockAcquire, id, work);
     }
 
     static MemRef
     unlock(std::uint32_t id, std::uint32_t work = 0)
     {
-        return {Kind::LockRelease, RefType::Read, 0, work, id};
+        return sync(Kind::LockRelease, id, work);
+    }
+
+    static MemRef
+    mem(RefType type, VAddr a, std::uint32_t work)
+    {
+        MemRef r;
+        r.type = type;
+        r.work = work;
+        r.vaddr = a;
+        return r;
+    }
+
+    /** A @p kind sync event; the operand word's upper half stays 0. */
+    static MemRef
+    sync(Kind kind, std::uint32_t id, std::uint32_t work)
+    {
+        MemRef r;
+        r.kind = kind;
+        r.work = work;
+        r.syncId = id;
+        return r;
+    }
+
+    /** Same event: the operand compares as the member kind names. */
+    friend bool
+    operator==(const MemRef &a, const MemRef &b)
+    {
+        return a.kind == b.kind && a.type == b.type && a.work == b.work &&
+               (a.kind == Kind::Mem ? a.vaddr == b.vaddr
+                                    : a.syncId == b.syncId);
     }
 };
 

@@ -18,7 +18,7 @@ namespace vcoma
 namespace
 {
 
-/** Per-thread staging buffer: 4096 records (96 KB) between flushes. */
+/** Per-thread staging buffer: 4096 records (64 KB) between flushes. */
 constexpr std::size_t stagingRecords = 4096;
 
 inline void
@@ -65,19 +65,47 @@ constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ULL;
 /** Offset of the header checksum (the header's last u32). */
 constexpr std::size_t headerChecksumAt = 60;
 
+/** One FNV-1a step over a whole 8-byte word. */
+inline std::uint64_t
+fnvMix(std::uint64_t hash, std::uint64_t word)
+{
+    return (hash ^ word) * 0x100000001b3ULL;
+}
+
 /**
  * FNV-1a from @p hash over @p bytes at @p p, mixed 8 bytes at a time
- * (the payload is a multiple of 24, the header and index of 8).
- * Word-at-a-time keeps the open() validation pass cheap even for
- * multi-GB traces.
+ * (the payload is a multiple of 16, the header and index of 8).
+ * Word-at-a-time keeps checksumming cheap even for multi-GB traces.
  */
 std::uint64_t
 fnvWords(std::uint64_t hash, const unsigned char *p, std::size_t bytes)
 {
-    constexpr std::uint64_t prime = 0x100000001b3ULL;
     for (std::size_t i = 0; i + 8 <= bytes; i += 8)
-        hash = (hash ^ getU64(p + i)) * prime;
+        hash = fnvMix(hash, getU64(p + i));
     return hash;
+}
+
+/**
+ * Why a record's two words, @p head (kind, type, padding, work) and
+ * @p operand, are not an event's one valid byte form, or nullptr when
+ * they are: kind and type in range (a sync kind's type is Read), zero
+ * padding, and a sync operand that is a zero-extended u32.
+ */
+inline const char *
+recordProblem(std::uint64_t head, std::uint64_t operand)
+{
+    const std::uint64_t kind = head & 0xff;
+    const bool mem = kind == static_cast<std::uint64_t>(MemRef::Kind::Mem);
+    const std::uint64_t maxType =
+        mem ? static_cast<std::uint64_t>(RefType::Write) : 0;
+    if (kind > static_cast<std::uint64_t>(MemRef::Kind::LockRelease) ||
+        (head >> 8 & 0xff) > maxType)
+        return "an invalid kind/type";
+    if ((head & 0xffff0000) != 0)
+        return "nonzero padding";
+    if (!mem && operand >> 32 != 0)
+        return "a sync id wider than 32 bits";
+    return nullptr;
 }
 
 /**
@@ -110,10 +138,10 @@ packMemRef(const MemRef &ref, unsigned char *out)
 {
     out[0] = static_cast<unsigned char>(ref.kind);
     out[1] = static_cast<unsigned char>(ref.type);
-    std::memset(out + 2, 0, 6);
-    putU64(out + 8, ref.vaddr);
-    putU32(out + 16, ref.work);
-    putU32(out + 20, ref.syncId);
+    out[2] = out[3] = 0;
+    putU32(out + 4, ref.work);
+    putU64(out + 8,
+           ref.kind == MemRef::Kind::Mem ? ref.vaddr : ref.syncId);
 }
 
 MemRef
@@ -122,9 +150,11 @@ unpackMemRef(const unsigned char *in)
     MemRef ref;
     ref.kind = static_cast<MemRef::Kind>(in[0]);
     ref.type = static_cast<RefType>(in[1]);
-    ref.vaddr = getU64(in + 8);
-    ref.work = getU32(in + 16);
-    ref.syncId = getU32(in + 20);
+    ref.work = getU32(in + 4);
+    if (ref.kind == MemRef::Kind::Mem)
+        ref.vaddr = getU64(in + 8);
+    else
+        ref.syncId = getU32(in + 8);
     return ref;
 }
 
@@ -458,25 +488,33 @@ PackedTrace::PackedTrace(const std::string &path)
         reject(path, "per-thread counts disagree with totalEvents");
     }
 
-    // O(n) payload scan: checksum plus kind/type range, so replay can
-    // trust every record without per-reference validation.
+    // One O(n) payload walk: the checksum plus each record's byte
+    // form, so replay can trust every record without per-reference
+    // validation. A corrupt payload reports the checksum first.
     const unsigned char *payload = base + payloadStart;
     const std::uint64_t payloadBytes = fileBytes - payloadStart;
-    if (fnvWords(fnvBasis, payload, payloadBytes) != checksum) {
+    std::uint64_t hash = fnvBasis;
+    const char *problem = nullptr;
+    std::uint64_t problemAt = 0;
+    for (std::uint64_t off = 0; off < payloadBytes;
+         off += packedRecordBytes) {
+        const std::uint64_t head = getU64(payload + off);
+        const std::uint64_t operand = getU64(payload + off + 8);
+        hash = fnvMix(fnvMix(hash, head), operand);
+        if (const char *why = recordProblem(head, operand);
+            why != nullptr && problem == nullptr) {
+            problem = why;
+            problemAt = off;
+        }
+    }
+    if (hash != checksum) {
         unmap();
         reject(path, "payload checksum mismatch (corrupt trace)");
     }
-    for (std::uint64_t off = 0; off < payloadBytes;
-         off += packedRecordBytes) {
-        if (payload[off] >
-                static_cast<unsigned char>(MemRef::Kind::LockRelease) ||
-            payload[off + 1] >
-                static_cast<unsigned char>(RefType::Write)) {
-            unmap();
-            reject(path, "record at payload offset " +
-                             std::to_string(off) +
-                             " has an invalid kind/type");
-        }
+    if (problem != nullptr) {
+        unmap();
+        reject(path, "record at payload offset " +
+                         std::to_string(problemAt) + " has " + problem);
     }
 
     streams_.reserve(threads_);

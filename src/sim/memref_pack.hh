@@ -11,13 +11,13 @@
  * record layout provably matches MemRef (static_asserts below) —
  * consumed in place with no per-record decode at all.
  *
- * File layout (version 3):
+ * File layout (version 4):
  *
  *     offset  size  field
  *     ------  ----  -----------------------------------------
  *          0     8  magic "VCMTRC1\n"
- *          8     4  u32 version            (3)
- *         12     4  u32 recordBytes        (24)
+ *          8     4  u32 version            (4)
+ *         12     4  u32 recordBytes        (16)
  *         16     4  u32 threads            (> 0)
  *         20     4  u32 flags              (1: little-endian payload;
  *                                           no other bit is defined)
@@ -40,16 +40,20 @@
  * checked, so no flip can load the same streams under another key,
  * name or footprint.
  *
- * Record layout (24 bytes; byte offsets within one record):
+ * Record layout (16 bytes; byte offsets within one record):
  *
  *     offset  size  field
  *     ------  ----  --------------------------
  *          0     1  u8  kind    (MemRef::Kind, <= 3)
- *          1     1  u8  type    (RefType, <= 1)
- *          2     6  zero padding
- *          8     8  u64 vaddr
- *         16     4  u32 work
- *         20     4  u32 syncId
+ *          1     1  u8  type    (RefType, <= 1; 0 for sync kinds)
+ *          2     2  zero padding
+ *          4     4  u32 work
+ *          8     8  u64 operand (vaddr for Kind::Mem; the
+ *                               zero-extended syncId otherwise)
+ *
+ * Each event has exactly one valid byte form: a reader rejects
+ * nonzero padding, a sync record with a Write type or with operand
+ * bits above bit 31, and any out-of-range kind or type.
  *
  * Versioning/compat rules: the magic never changes; any change to the
  * record layout, header fields or index encoding bumps `version`, and
@@ -87,7 +91,7 @@ class TraceFormatError : public std::runtime_error
 };
 
 /** Size of one packed record on disk. */
-constexpr std::size_t packedRecordBytes = 24;
+constexpr std::size_t packedRecordBytes = 16;
 
 /** Size of the fixed file header (before the string section). */
 constexpr std::size_t packedHeaderBytes = 64;
@@ -99,8 +103,10 @@ constexpr std::size_t packedHeaderBytes = 64;
  * streams and must re-record rather than silently replay into fresh
  * sweeps (the result-cache magic made the same jump, from v3 to v4).
  * v3 turns v2's reserved word at offset 60 into the header checksum.
+ * v4 shrinks the record from 24 to 16 bytes: the address and the
+ * sync id share one operand word.
  */
-constexpr std::uint32_t packedTraceVersion = 3;
+constexpr std::uint32_t packedTraceVersion = 4;
 
 /** The 8-byte magic at offset 0. */
 constexpr char packedTraceMagic[8] = {'V', 'C', 'M', 'T',
@@ -114,10 +120,12 @@ static_assert(std::is_trivially_copyable_v<MemRef>);
 static_assert(sizeof(MemRef) == packedRecordBytes);
 static_assert(offsetof(MemRef, kind) == 0);
 static_assert(offsetof(MemRef, type) == 1);
+static_assert(offsetof(MemRef, work) == 4);
 static_assert(offsetof(MemRef, vaddr) == 8);
-static_assert(offsetof(MemRef, work) == 16);
-static_assert(offsetof(MemRef, syncId) == 20);
+static_assert(offsetof(MemRef, syncId) == 8);
 static_assert(sizeof(MemRef::kind) == 1 && sizeof(MemRef::type) == 1);
+static_assert(sizeof(MemRef::work) == 4 && sizeof(MemRef::vaddr) == 8 &&
+              sizeof(MemRef::syncId) == 4);
 
 /**
  * True when the mmapped payload can be consumed in place as MemRef[]
@@ -211,11 +219,11 @@ class PackedTraceWriter
 };
 
 /**
- * A validated, memory-mapped packed trace. open() performs the full
- * structural check (header, index, payload bounds) plus an O(n)
- * payload scan (checksum and kind/type range), so a stream() span is
- * guaranteed to contain only well-formed MemRefs — the replay hot
- * loop never re-validates.
+ * A validated, memory-mapped packed trace. The constructor performs
+ * the full structural check (header, index, payload bounds) plus one
+ * O(n) payload walk (checksum and each record's one valid byte
+ * form), so a stream() span is guaranteed to contain only well-formed
+ * MemRefs — the replay hot loop never re-validates.
  */
 class PackedTrace
 {

@@ -199,8 +199,6 @@ TraceWorkload::TraceWorkload(std::istream &is, std::string name)
 
         MemRef ref;
         if (mem) {
-            ref.kind = MemRef::Kind::Mem;
-            ref.type = kind == 'R' ? RefType::Read : RefType::Write;
             const auto vaddr = parseAddress(f[2]);
             if (!vaddr)
                 fatal("trace line ", lineNo, ": bad address '", f[2],
@@ -214,19 +212,20 @@ TraceWorkload::TraceWorkload(std::istream &is, std::string name)
             if (!work)
                 fatal("trace line ", lineNo, ": bad work count '", f[3],
                       "'");
-            ref.vaddr = *vaddr;
-            ref.work = *work;
-            lo = std::min(lo, ref.vaddr);
-            hi = std::max(hi, ref.vaddr + 8);
+            ref = MemRef::mem(kind == 'R' ? RefType::Read
+                                          : RefType::Write,
+                              *vaddr, *work);
+            lo = std::min(lo, *vaddr);
+            hi = std::max(hi, *vaddr + 8);
         } else {
-            ref.kind = kind == 'B'   ? MemRef::Kind::Barrier
-                       : kind == 'L' ? MemRef::Kind::LockAcquire
-                                     : MemRef::Kind::LockRelease;
             const auto id = parseNumber<std::uint32_t>(f[2]);
             if (!id)
                 fatal("trace line ", lineNo, ": bad ", family, " id '",
                       f[2], "'");
-            ref.syncId = *id;
+            ref = MemRef::sync(kind == 'B'   ? MemRef::Kind::Barrier
+                               : kind == 'L' ? MemRef::Kind::LockAcquire
+                                             : MemRef::Kind::LockRelease,
+                               *id, 0);
         }
         perThread_[*tid].push_back(ref);
     }

@@ -65,6 +65,30 @@ TEST(Generator, YieldsAllValuesThenEnds)
     EXPECT_FALSE(gen.alive());
 }
 
+TEST(Generator, NextPtrSeesEachYieldedObjectUntilTheNextAdvance)
+{
+    // nextPtr() points at the yielded object itself, a local the body
+    // changes once resumed or a temporary, not at a copy.
+    auto make = []() -> Generator<int> {
+        int local = 10;
+        co_yield local;
+        local = 11;
+        co_yield local;
+        co_yield local * 2;
+    };
+    auto gen = make();
+    const int *p = gen.nextPtr();
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(*p, 10);
+    p = gen.nextPtr();
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(*p, 11);
+    p = gen.nextPtr();
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(*p, 22);
+    EXPECT_EQ(gen.nextPtr(), nullptr);
+}
+
 TEST(Generator, EmptyGenerator)
 {
     auto gen = empty();

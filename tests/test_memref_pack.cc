@@ -16,11 +16,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "sim/memref.hh"
 #include "sim/memref_pack.hh"
+#include "workloads/replay.hh"
 
 using namespace vcoma;
 
@@ -102,17 +104,29 @@ expectRejected(const std::string &path, const std::string &detail)
     }
 }
 
-void
-expectSameRef(const MemRef &a, const MemRef &b)
+constexpr std::uint32_t maxU32 = std::numeric_limits<std::uint32_t>::max();
+
+/** The extremes of every field: the largest address the text grammar
+ * accepts (one 8-byte access below 2^64), and work and sync ids at
+ * UINT32_MAX. */
+std::vector<MemRef>
+boundaryRecords()
 {
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.type, b.type);
-    EXPECT_EQ(a.vaddr, b.vaddr);
-    EXPECT_EQ(a.work, b.work);
-    EXPECT_EQ(a.syncId, b.syncId);
+    const VAddr top = std::numeric_limits<VAddr>::max() - 8;
+    return {MemRef::read(top, maxU32),      MemRef::write(top, 0),
+            MemRef::read(0, maxU32),        MemRef::barrier(maxU32, maxU32),
+            MemRef::lock(maxU32, maxU32),   MemRef::unlock(maxU32, 0),
+            MemRef::barrier(0, maxU32)};
 }
 
 } // namespace
+
+TEST(MemRefPack, RecordIsSixteenBytes)
+{
+    EXPECT_EQ(sizeof(MemRef), 16u);
+    EXPECT_EQ(packedRecordBytes, sizeof(MemRef));
+    EXPECT_EQ(packedTraceVersion, 4u);
+}
 
 TEST(MemRefPack, PackUnpackRoundTripsEveryKind)
 {
@@ -123,8 +137,36 @@ TEST(MemRefPack, PackUnpackRoundTripsEveryKind)
           MemRef::unlock(3)}) {
         unsigned char bytes[packedRecordBytes];
         packMemRef(ref, bytes);
-        expectSameRef(unpackMemRef(bytes), ref);
+        EXPECT_EQ(unpackMemRef(bytes), ref);
     }
+}
+
+TEST(MemRefPack, BoundaryRecordsRoundTripPackedAndMapped)
+{
+    for (const MemRef &ref : boundaryRecords()) {
+        unsigned char bytes[packedRecordBytes];
+        packMemRef(ref, bytes);
+        EXPECT_EQ(unpackMemRef(bytes), ref);
+        // The operand word holds a sync id zero-extended.
+        std::uint64_t operand = 0;
+        for (int i = 7; i >= 0; --i)
+            operand = operand << 8 | bytes[8 + i];
+        EXPECT_EQ(operand, ref.kind == MemRef::Kind::Mem ? ref.vaddr
+                                                         : ref.syncId);
+    }
+
+    TempDir dir;
+    const std::string path = (dir.path / "edge.vctrace").string();
+    PackedTraceWriter writer(path, 1, "k", "EDGE", "p", 0);
+    for (const MemRef &ref : boundaryRecords())
+        writer.append(0, ref);
+    ASSERT_TRUE(writer.finalize());
+    ReplayWorkload replay(path);
+    const auto got = replay.stream(0);
+    const std::vector<MemRef> expect = boundaryRecords();
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i)
+        EXPECT_EQ(got[i], expect[i]) << "record " << i;
 }
 
 TEST(MemRefPack, PackedBytesAreDeterministic)
@@ -158,7 +200,7 @@ TEST(MemRefPack, WriterReaderRoundTrip)
         const auto got = trace.stream(tid);
         ASSERT_EQ(got.size(), expect.size()) << "tid " << tid;
         for (std::size_t i = 0; i < expect.size(); ++i)
-            expectSameRef(got[i], expect[i]);
+            EXPECT_EQ(got[i], expect[i]);
     }
 }
 
@@ -315,6 +357,17 @@ TEST(MemRefPack, RejectsVersion2)
     bytes[8] = 2;
     writeFile(path, bytes);
     expectRejected(path, "version 2 unsupported");
+}
+
+TEST(MemRefPack, RejectsVersion3)
+{
+    // A v3 file (24-byte records) must re-record, not load.
+    TempDir dir;
+    const std::string path = writeSampleTrace(dir);
+    auto bytes = readFile(path);
+    bytes[8] = 3;
+    writeFile(path, bytes);
+    expectRejected(path, "version 3 unsupported");
 }
 
 TEST(MemRefPack, RejectsCorruptHeaderStringsAndPadding)

@@ -234,9 +234,7 @@ TEST(Replay, CoroutineViewMatchesMaterialisedStreams)
         std::size_t i = 0;
         while (const MemRef *ref = gen.nextPtr()) {
             ASSERT_LT(i, span.size()) << "tid " << tid;
-            EXPECT_EQ(ref->kind, span[i].kind);
-            EXPECT_EQ(ref->vaddr, span[i].vaddr);
-            EXPECT_EQ(ref->work, span[i].work);
+            EXPECT_EQ(*ref, span[i]);
             ++i;
         }
         EXPECT_EQ(i, span.size()) << "tid " << tid;
@@ -356,6 +354,38 @@ TEST(RunnerReplay, CorruptTraceFallsBackAndReRecords)
     }
     EXPECT_NO_THROW(PackedTrace{tracePath})
         << "fallback must re-record a valid trace";
+}
+
+TEST(RunnerReplay, OlderVersionTraceIsReRecorded)
+{
+    // A trace-dir entry from before the 16-byte records (version 3)
+    // is rejected on load and recorded afresh in the current format.
+    TempDir traces;
+    EnvGuard traceDir("VCOMA_TRACE_DIR", traces.path.string().c_str());
+    EnvGuard traceMax("VCOMA_TRACE_MAX_MB", nullptr);
+    const ExperimentConfig cfg = tinyExperiment();
+    const std::string tracePath =
+        (traces.path / (cfg.key() + ".vctrace")).string();
+
+    std::string first;
+    {
+        Runner runner("");
+        first = statsJson(runner.run(cfg));
+    }
+    {
+        std::fstream f(tracePath,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(8);  // u32 version, little-endian
+        f.put(3);
+    }
+    EXPECT_THROW(PackedTrace{tracePath}, TraceFormatError);
+    {
+        Runner runner("");
+        EXPECT_EQ(statsJson(runner.run(cfg)), first);
+    }
+    EXPECT_NO_THROW(PackedTrace{tracePath})
+        << "the fallback run must re-record the trace as version "
+        << packedTraceVersion;
 }
 
 TEST(RunnerReplay, TruncatedTraceFallsBack)

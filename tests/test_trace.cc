@@ -52,12 +52,7 @@ TEST(Trace, RoundTripPreservesPerThreadStreams)
         std::size_t i = 0;
         while (auto ref = gen.next()) {
             ASSERT_LT(i, replay.stream(t).size()) << "thread " << t;
-            const MemRef &got = replay.stream(t)[i++];
-            EXPECT_EQ(got.kind, ref->kind);
-            EXPECT_EQ(got.vaddr, ref->vaddr);
-            EXPECT_EQ(got.type, ref->type);
-            EXPECT_EQ(got.work, ref->work);
-            EXPECT_EQ(got.syncId, ref->syncId);
+            EXPECT_EQ(replay.stream(t)[i++], *ref);
         }
         EXPECT_EQ(i, replay.stream(t).size());
     }

@@ -75,26 +75,6 @@ spit(const std::filesystem::path &path, const std::string &bytes)
 
 using Streams = std::vector<std::vector<MemRef>>;
 
-bool
-sameRef(const MemRef &a, const MemRef &b)
-{
-    return a.kind == b.kind && a.type == b.type && a.vaddr == b.vaddr &&
-           a.work == b.work && a.syncId == b.syncId;
-}
-
-bool
-sameStreams(const Streams &a, const Streams &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t t = 0; t < a.size(); ++t) {
-        if (a[t].size() != b[t].size() ||
-            !std::equal(a[t].begin(), a[t].end(), b[t].begin(), sameRef))
-            return false;
-    }
-    return true;
-}
-
 /** Every thread's materialised stream of @p w. */
 Streams
 streamsOf(Workload &w)
@@ -142,6 +122,68 @@ mutate(std::string bytes, std::size_t begin, std::size_t end, Rng &rng,
     return bytes;
 }
 
+/** Record a tiny V-COMA run of STRIDE as a packed trace at @p path. */
+void
+recordStride(const std::filesystem::path &path)
+{
+    MachineConfig cfg = tinyConfig(Scheme::VCOMA);
+    WorkloadParams p;
+    p.threads = cfg.numNodes;
+    p.scale = 0.01;
+    auto live = makeWorkload("STRIDE", p);
+    RecordingWorkload recorder(*live, path.string(), "fuzz-key");
+    Machine(cfg).run(recorder);
+    ASSERT_TRUE(recorder.finalize());
+}
+
+/** Where the payload of the packed trace @p bytes starts, from the
+ * header: fixed fields, then the strings and the index. */
+std::size_t
+payloadStartOf(const std::string &bytes)
+{
+    std::uint32_t threads = 0, keyBytes = 0, nameBytes = 0, paramBytes = 0;
+    std::memcpy(&threads, bytes.data() + 16, 4);
+    std::memcpy(&keyBytes, bytes.data() + 48, 4);
+    std::memcpy(&nameBytes, bytes.data() + 52, 4);
+    std::memcpy(&paramBytes, bytes.data() + 56, 4);
+    const std::size_t strings =
+        (std::size_t{keyBytes} + nameBytes + paramBytes + 7) / 8 * 8;
+    return packedHeaderBytes + strings + std::size_t{threads} * 16;
+}
+
+/** FNV-1a/64 from @p hash over the 8-byte words of @p bytes at @p p. */
+std::uint64_t
+fnvWords(std::uint64_t hash, const char *p, std::size_t bytes)
+{
+    for (std::size_t i = 0; i + 8 <= bytes; i += 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, p + i, 8);
+        hash = (hash ^ word) * 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/**
+ * Re-seal the packed trace @p bytes after a payload edit: recompute
+ * the payload checksum and, as it lives in the header, the header
+ * checksum (both as sim/memref_pack.hh defines them), so only the
+ * reader's record checks can object to the edit.
+ */
+void
+reseal(std::string &bytes)
+{
+    constexpr std::uint64_t basis = 0xcbf29ce484222325ULL;
+    const std::size_t payloadStart = payloadStartOf(bytes);
+    const std::uint64_t payload =
+        fnvWords(basis, bytes.data() + payloadStart,
+                 bytes.size() - payloadStart);
+    std::memcpy(bytes.data() + 40, &payload, 8);
+    std::memset(bytes.data() + 60, 0, 4);
+    const std::uint64_t header = fnvWords(basis, bytes.data(), payloadStart);
+    const auto folded = static_cast<std::uint32_t>(header ^ header >> 32);
+    std::memcpy(bytes.data() + 60, &folded, 4);
+}
+
 } // namespace
 
 /**
@@ -157,31 +199,11 @@ TEST(TraceFuzz, PackedTraceMutantsAreRejectedOrReplayIdentically)
 {
     TempDir dir;
     const auto original = dir.path / "original.vctrace";
-    MachineConfig cfg = tinyConfig(Scheme::VCOMA);
-    WorkloadParams p;
-    p.threads = cfg.numNodes;
-    p.scale = 0.01;
-    auto live = makeWorkload("STRIDE", p);
-    {
-        RecordingWorkload recorder(*live, original.string(), "fuzz-key");
-        Machine(cfg).run(recorder);
-        ASSERT_TRUE(recorder.finalize());
-    }
+    recordStride(original);
     ReplayWorkload reference(original.string());
     const Streams recorded = streamsOf(reference);
     const std::string bytes = slurp(original);
-
-    // Region bounds from the header: fixed fields, then the strings
-    // and the index, then the payload.
-    std::uint32_t threads = 0, keyBytes = 0, nameBytes = 0, paramBytes = 0;
-    std::memcpy(&threads, bytes.data() + 16, 4);
-    std::memcpy(&keyBytes, bytes.data() + 48, 4);
-    std::memcpy(&nameBytes, bytes.data() + 52, 4);
-    std::memcpy(&paramBytes, bytes.data() + 56, 4);
-    const std::size_t strings =
-        (std::size_t{keyBytes} + nameBytes + paramBytes + 7) / 8 * 8;
-    const std::size_t payloadStart =
-        packedHeaderBytes + strings + std::size_t{threads} * 16;
+    const std::size_t payloadStart = payloadStartOf(bytes);
     ASSERT_LT(payloadStart, bytes.size());
     const std::size_t regions[4] = {0, packedHeaderBytes, payloadStart,
                                     bytes.size()};
@@ -204,7 +226,7 @@ TEST(TraceFuzz, PackedTraceMutantsAreRejectedOrReplayIdentically)
             ReplayWorkload replay(mutant.string());
             ++loaded;
             ASSERT_EQ(region, 2u) << where << " loaded";
-            ASSERT_TRUE(sameStreams(streamsOf(replay), recorded))
+            ASSERT_TRUE(streamsOf(replay) == recorded)
                 << where << " loaded a different stream";
         } catch (const TraceFormatError &) {
             ++rejected;
@@ -214,6 +236,73 @@ TEST(TraceFuzz, PackedTraceMutantsAreRejectedOrReplayIdentically)
     EXPECT_GE(rejected, perRegion[0] + perRegion[1]);
     for (unsigned n : perRegion)
         EXPECT_GT(n, kMutations / 4);
+}
+
+/**
+ * Every valid event has exactly one byte form. A payload edited off
+ * it and then resealed (both checksums recomputed, so the checksums
+ * cannot object) must still throw TraceFormatError: a set bit in a
+ * record's two pad bytes, in the upper half of a sync record's
+ * operand word, or in a sync record's type byte.
+ */
+TEST(TraceFuzz, ResealedNonCanonicalRecordsAreRejected)
+{
+    TempDir dir;
+    const auto original = dir.path / "original.vctrace";
+    recordStride(original);
+    const std::string clean = slurp(original);
+    const std::size_t payloadStart = payloadStartOf(clean);
+
+    // The first memory record and the first sync record.
+    std::size_t memAt = 0, syncAt = 0;
+    for (std::size_t at = payloadStart; at < clean.size();
+         at += packedRecordBytes) {
+        const auto kind = static_cast<MemRef::Kind>(clean[at]);
+        if (kind == MemRef::Kind::Mem && memAt == 0)
+            memAt = at;
+        if (kind != MemRef::Kind::Mem && syncAt == 0)
+            syncAt = at;
+    }
+    ASSERT_NE(memAt, 0u);
+    ASSERT_NE(syncAt, 0u) << "STRIDE records no sync event";
+
+    const auto mutant = dir.path / "mutant.vctrace";
+    auto expectRejected = [&](std::size_t at, unsigned bit,
+                              const std::string &detail) {
+        SCOPED_TRACE("byte " + std::to_string(at) + " bit " +
+                     std::to_string(bit));
+        std::string bytes = clean;
+        bytes[at] = static_cast<char>(bytes[at] ^ (1u << bit));
+        reseal(bytes);
+        spit(mutant, bytes);
+        try {
+            ReplayWorkload replay(mutant.string());
+            ADD_FAILURE() << "loaded a non-canonical record";
+        } catch (const TraceFormatError &e) {
+            EXPECT_NE(std::string(e.what()).find(detail),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+
+    // Resealing an unedited trace must load, or the cases below
+    // would pass on a checksum mismatch.
+    std::string same = clean;
+    reseal(same);
+    ASSERT_EQ(same, clean);
+    for (const std::size_t record : {memAt, syncAt}) {
+        for (const std::size_t pad : {2, 3}) {
+            for (const unsigned bit : {0u, 7u})
+                expectRejected(record + pad, bit, "nonzero padding");
+        }
+    }
+    for (std::size_t upper = 12; upper < 16; ++upper) {
+        for (const unsigned bit : {0u, 7u}) {
+            expectRejected(syncAt + upper, bit,
+                           "sync id wider than 32 bits");
+        }
+    }
+    expectRejected(syncAt + 1, 0, "invalid kind/type");
 }
 
 /**
@@ -285,7 +374,7 @@ TEST(TraceFuzz, TextTraceMutantsAreRejectedOrReplayIdentically)
         std::istringstream again(mutant);
         convertTextTraceToPacked(again, packed.string());
         ReplayWorkload replay(packed.string());
-        ASSERT_TRUE(sameStreams(streamsOf(replay), streams))
+        ASSERT_TRUE(streamsOf(replay) == streams)
             << where << " replays differently through the packed path";
     }
     EXPECT_EQ(rejected + loaded, kMutations);

@@ -10,6 +10,7 @@ Commands:
   check-stats     validate stats JSONL, traces, BENCH reports
   check-perf      gate BENCH_perf_core.json against the baseline
   check-claims    check the paper's claims on a collected sweep
+  check-doc       check a document's pasted tables against a render
 
 `run` is the push-button paper pipeline:
 
@@ -31,6 +32,7 @@ from . import dashboard as D
 from . import render as R
 from . import submit as B
 from .checks import claims as check_claims
+from .checks import doc as check_doc
 from .checks import perf as check_perf
 from .checks import stats as check_stats
 from .spec import SpecError, load_spec
@@ -191,11 +193,13 @@ def main(argv=None):
         return check_perf.main(argv[1:])
     if argv and argv[0] == "check-claims":
         return check_claims.main(argv[1:])
+    if argv and argv[0] == "check-doc":
+        return check_doc.main(argv[1:])
     if argv and argv[0] not in known and argv[0] not in (
             "-h", "--help"):
         die(f"unknown command {argv[0]!r} (run, expand, collect, "
             "render, dashboard, check-stats, check-perf, "
-            "check-claims)")
+            "check-claims, check-doc)")
 
     args = ap.parse_args(argv)
     try:

@@ -7,6 +7,7 @@ import os
 import tempfile
 import unittest
 
+from vcoma_sweep.checks import doc as check_doc
 from vcoma_sweep.checks import stats as check_stats
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -137,6 +138,59 @@ class BenchCheckTest(unittest.TestCase):
         code, _out, err = self.check(self.bench_doc(git=None))
         self.assertEqual(code, 1)
         self.assertIn("git stamp", err)
+
+
+RENDERED = """### Table 9: things
+
+| a | b |
+|---|---|
+| 1 | 2 |
+"""
+
+
+class DocCheckTest(unittest.TestCase):
+    def doc(self, rows="| 1 | 2 |", title="Table 9: things"):
+        return (f"# Notes\n\nProse.\n\n### {title}\n\n"
+                f"| a | b |\n|---|---|\n{rows}\n\nMore prose.\n"
+                "### Elsewhere\n\n| x |\n")
+
+    def test_matching_paste_passes(self):
+        self.assertEqual(check_doc.check_doc(self.doc(), [RENDERED]),
+                         (1, []))
+
+    def test_drifted_row_fails_with_a_diff(self):
+        compared, problems = check_doc.check_doc(
+            self.doc(rows="| 1 | 3 |"), [RENDERED])
+        self.assertEqual(compared, 1)
+        self.assertEqual(len(problems), 1)
+        self.assertIn("-| 1 | 3 |", problems[0])
+        self.assertIn("+| 1 | 2 |", problems[0])
+
+    def test_nothing_compared_fails(self):
+        compared, problems = check_doc.check_doc(
+            self.doc(title="Table 9 (scale 4): things"), [RENDERED])
+        self.assertEqual(compared, 0)
+        self.assertEqual(len(problems), 1)
+
+    def test_title_rendered_twice_fails(self):
+        _compared, problems = check_doc.check_doc(
+            self.doc(), [RENDERED, RENDERED])
+        self.assertIn("rendered twice", problems[0])
+
+    def test_main_exits_1_on_drift(self):
+        with tempfile.TemporaryDirectory() as d:
+            with open(os.path.join(d, "t.md"), "w") as f:
+                f.write(RENDERED)
+            doc = os.path.join(d, "DOC.txt")
+            with open(doc, "w") as f:
+                f.write(self.doc(rows="| 9 | 9 |"))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    self.assertRaises(SystemExit) as e:
+                check_doc.main([doc, d])
+            self.assertEqual(e.exception.code, 1)
+            self.assertIn("1 table(s) compared, 1 problem(s)",
+                          out.getvalue())
 
 
 if __name__ == "__main__":

@@ -51,7 +51,9 @@ usage(int code)
 void
 printSummary(const PackedTraceSummary &s)
 {
-    std::cout << "workload:     " << s.workloadName << "\n"
+    std::cout << "format:       packed v" << packedTraceVersion << ", "
+              << packedRecordBytes << " bytes per record\n"
+              << "workload:     " << s.workloadName << "\n"
               << "parameters:   " << s.parameters << "\n"
               << "key:          " << s.key << "\n"
               << "threads:      " << s.threads << "\n"
