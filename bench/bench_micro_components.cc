@@ -2,7 +2,7 @@
  * @file
  * Google-benchmark micro-benchmarks of the simulator's hot
  * components: cache lookups, TLB lookups (FA flat index vs DM
- * array), shadow-bank accesses, winner-tree event dispatch,
+ * array, and the repeat memo), shadow-bank accesses, winner-tree event dispatch,
  * attraction-memory searches, the coherence fast path, and
  * end-to-end simulated-reference throughput. These bound the wall
  * clock of the paper-reproduction runs.
@@ -72,6 +72,29 @@ BM_TlbLookupDirectMapped(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TlbLookupDirectMapped)->Arg(8)->Arg(128)->Arg(512);
+
+/**
+ * An 8-entry TLB (FA, or DM with arg 1) on a stream where each vpn
+ * repeats 1 to 8 times in a row, as an L0 TLB sees consecutive
+ * references to one page: repeats take the TLB's repeat memo.
+ */
+void
+BM_TlbRepeat(benchmark::State &state)
+{
+    Tlb tlb(8, static_cast<unsigned>(state.range(0)), 1);
+    Rng rng(2);
+    std::vector<PageNum> vpns;
+    while (vpns.size() < 4096) {
+        const PageNum vpn = rng.below(1024);
+        for (auto n = rng.below(8) + 1; n > 0 && vpns.size() < 4096; --n)
+            vpns.push_back(vpn);
+    }
+    std::size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(tlb.access(vpns[i++ & 4095]));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlbRepeat)->Arg(0)->Arg(1);
 
 void
 BM_ShadowBankAccess(benchmark::State &state)

@@ -7,7 +7,9 @@
  * mmap the reference stream back instead of re-running the workload
  * coroutines) — reporting host refs/sec for all three and asserting
  * that every mode produces identical statistics (speed layers, never
- * model knobs).
+ * model knobs). The modes run interleaved, one trial of each in turn,
+ * and every reported figure is a median over the trials; each ratio
+ * is the median of the per-trial ratios.
  *
  * The exit status reflects only output identity: a perf regression
  * shows up in BENCH_perf_core.json (refs_per_sec_* and speedup
@@ -19,12 +21,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_util.hh"
 #include "sim/machine.hh"
@@ -133,72 +137,64 @@ trialRate(std::uint64_t refs, double seconds)
     return static_cast<double>(refs) / std::max(seconds, minTrialSeconds);
 }
 
-struct Measurement
+/** The two sheets a mode's first trial keeps for the identity check. */
+struct Sheets
 {
-    double refsPerSec = 0;
     std::string json;  ///< writeRunStatsJson() of the final RunStats
     std::string dump;  ///< full component stats hierarchy
 };
 
-/** Run @p workload @p reps times on @p cfg, keeping the best rate. */
-Measurement
-measureRuns(const MachineConfig &cfg, Workload &workload, unsigned reps)
+/**
+ * One trial: run @p workload on a fresh machine for @p cfg and return
+ * its host refs/sec; when @p sheets is non-null, keep its sheets.
+ */
+double
+trial(const MachineConfig &cfg, Workload &workload, Sheets *sheets)
 {
-    Measurement best;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        Machine machine(cfg);
-        const auto t0 = std::chrono::steady_clock::now();
-        const RunStats stats = machine.run(workload);
-        const std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        const double rate = trialRate(stats.totalRefs(), dt.count());
-        best.refsPerSec = std::max(best.refsPerSec, rate);
-        if (rep == 0) {
-            std::ostringstream json;
-            writeRunStatsJson(json, stats);
-            best.json = json.str();
-            std::ostringstream dump;
-            machine.dumpStats(dump);
-            best.dump = dump.str();
-        }
+    Machine machine(cfg);
+    const auto t0 = std::chrono::steady_clock::now();
+    const RunStats stats = machine.run(workload);
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    if (sheets) {
+        std::ostringstream json;
+        writeRunStatsJson(json, stats);
+        sheets->json = json.str();
+        std::ostringstream dump;
+        machine.dumpStats(dump);
+        sheets->dump = dump.str();
     }
-    return best;
+    return trialRate(stats.totalRefs(), dt.count());
 }
 
-Measurement
-measureLive(bool filter, unsigned iterations, unsigned reps)
+double
+median(std::vector<double> v)
 {
-    Measurement best;
-    const MachineConfig cfg = perfConfig(filter);
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        // A fresh workload per rep: the coroutines are one-shot.
-        FlcResweepWorkload w(cfg.numNodes, iterations);
-        const Measurement m = measureRuns(cfg, w, 1);
-        best.refsPerSec = std::max(best.refsPerSec, m.refsPerSec);
-        if (rep == 0) {
-            best.json = m.json;
-            best.dump = m.dump;
-        }
-    }
-    return best;
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
-/** Live KVLOOKUP, a fresh workload per rep (one-shot coroutines). */
-Measurement
-measureKvLive(const MachineConfig &cfg, const WorkloadParams &wp,
-              unsigned reps)
+/**
+ * Record @p live's reference streams on @p cfg into @p path (the
+ * replay modes' input). @return false when the trace was not written.
+ */
+bool
+recordStreams(const MachineConfig &cfg, Workload &live,
+              const std::string &path, const std::string &label)
 {
-    Measurement best;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        const auto w = makeWorkload("KVLOOKUP", wp);
-        const Measurement m = measureRuns(cfg, *w, 1);
-        best.refsPerSec = std::max(best.refsPerSec, m.refsPerSec);
-        if (rep == 0) {
-            best.json = m.json;
-            best.dump = m.dump;
-        }
-    }
-    return best;
+    RecordingWorkload recorder(live, path, label);
+    Machine machine(cfg);
+    machine.run(recorder);
+    return recorder.finalize();
+}
+
+std::string
+tracePath(const std::string &stem)
+{
+    return (std::filesystem::temp_directory_path() /
+            (stem + "." + std::to_string(::getpid()) + ".vctrace"))
+        .string();
 }
 
 } // namespace
@@ -214,92 +210,95 @@ main()
                  "is pass/fail)\n\n";
 
     constexpr unsigned iterations = 1500;
-    constexpr unsigned reps = 3;
-    const Measurement slow = measureLive(false, iterations, reps);
-    const Measurement fast = measureLive(true, iterations, reps);
+    constexpr unsigned trials = 5;
 
-    // Third mode: record the reference streams once, then replay the
-    // packed trace — the mmapped array replaces both the workload
-    // algorithm and the per-reference coroutine machinery.
-    const std::string traceFile =
-        (std::filesystem::temp_directory_path() /
-         ("vcoma_perf_core." + std::to_string(::getpid()) + ".vctrace"))
-            .string();
-    Measurement replay;
+    // The replay modes' inputs: each workload's reference streams,
+    // recorded once. A replay maps the packed array back instead of
+    // running the workload algorithm and resuming its coroutines.
+    const MachineConfig slowCfg = perfConfig(false);
+    const MachineConfig cfg = perfConfig(true);
+    const std::string traceFile = tracePath("vcoma_perf_core");
     {
-        const MachineConfig cfg = perfConfig(true);
         FlcResweepWorkload live(cfg.numNodes, iterations);
-        RecordingWorkload recorder(live, traceFile, "perf_core");
-        Machine machine(cfg);
-        machine.run(recorder);
-        if (!recorder.finalize()) {
+        if (!recordStreams(cfg, live, traceFile, "perf_core")) {
             std::cerr << "FAIL: could not record the perf-core trace\n";
             return 1;
         }
+    }
+    // The pointer-chasing regime: KVLOOKUP's dependent hash-chain
+    // chases are the opposite of the FLC-resweep's hit-heavy loop —
+    // mostly remote traffic the fast filter cannot resolve — so its
+    // live-vs-replay ratio tracks the replay cursor's worth on
+    // datacenter streams specifically.
+    WorkloadParams kvParams;
+    kvParams.threads = cfg.numNodes;
+    kvParams.scale = 0.5;
+    const std::string kvTraceFile = tracePath("vcoma_perf_kv");
+    if (!recordStreams(cfg, *makeWorkload("KVLOOKUP", kvParams),
+                       kvTraceFile, "perf_core_kvlookup")) {
+        std::cerr << "FAIL: could not record the KVLOOKUP trace\n";
+        std::filesystem::remove(traceFile);
+        return 1;
+    }
+
+    // Each trial runs every mode back to back, and each gated ratio is
+    // the median of its per-trial ratios: a host slowdown that lasts
+    // a trial lands on both sides of that trial's ratio instead of on
+    // one mode's best-of-N.
+    Sheets slow, fast, replay, kvLive, kvReplay;
+    std::vector<double> slowRate, fastRate, replayRate, kvLiveRate,
+        kvReplayRate, speedup, replaySpeedup, kvReplaySpeedup;
+    {
         ReplayWorkload replayed(traceFile);
-        replay = measureRuns(cfg, replayed, reps);
+        ReplayWorkload kvReplayed(kvTraceFile);
+        for (unsigned t = 0; t < trials; ++t) {
+            const bool keep = t == 0;
+            // A fresh live workload per trial: the coroutines are
+            // one-shot.
+            FlcResweepWorkload liveSlow(cfg.numNodes, iterations);
+            FlcResweepWorkload liveFast(cfg.numNodes, iterations);
+            const auto kv = makeWorkload("KVLOOKUP", kvParams);
+            slowRate.push_back(
+                trial(slowCfg, liveSlow, keep ? &slow : nullptr));
+            fastRate.push_back(
+                trial(cfg, liveFast, keep ? &fast : nullptr));
+            replayRate.push_back(
+                trial(cfg, replayed, keep ? &replay : nullptr));
+            kvLiveRate.push_back(trial(cfg, *kv, keep ? &kvLive : nullptr));
+            kvReplayRate.push_back(
+                trial(cfg, kvReplayed, keep ? &kvReplay : nullptr));
+            speedup.push_back(fastRate.back() / slowRate.back());
+            replaySpeedup.push_back(replayRate.back() / fastRate.back());
+            kvReplaySpeedup.push_back(kvReplayRate.back() /
+                                      kvLiveRate.back());
+        }
     }
     std::filesystem::remove(traceFile);
+    std::filesystem::remove(kvTraceFile);
 
-    // Fourth mode: the pointer-chasing regime. KVLOOKUP's dependent
-    // hash-chain chases are the opposite of the FLC-resweep's
-    // hit-heavy loop — mostly remote traffic the fast filter cannot
-    // resolve — so its live-vs-replay ratio tracks the batch-drain
-    // replay loop's worth on datacenter streams specifically.
-    Measurement kvLive;
-    Measurement kvReplay;
-    {
-        const MachineConfig cfg = perfConfig(true);
-        WorkloadParams wp;
-        wp.threads = cfg.numNodes;
-        wp.scale = 0.5;
-        kvLive = measureKvLive(cfg, wp, reps);
-        const std::string kvTraceFile =
-            (std::filesystem::temp_directory_path() /
-             ("vcoma_perf_kv." + std::to_string(::getpid()) +
-              ".vctrace"))
-                .string();
-        const auto live = makeWorkload("KVLOOKUP", wp);
-        RecordingWorkload recorder(*live, kvTraceFile,
-                                   "perf_core_kvlookup");
-        Machine machine(cfg);
-        machine.run(recorder);
-        if (!recorder.finalize()) {
-            std::cerr << "FAIL: could not record the KVLOOKUP trace\n";
-            return 1;
-        }
-        ReplayWorkload replayed(kvTraceFile);
-        kvReplay = measureRuns(cfg, replayed, reps);
-        std::filesystem::remove(kvTraceFile);
-    }
-
-    std::cout << "filter off:    " << static_cast<std::uint64_t>(
-                     slow.refsPerSec) << " refs/sec (checkLevel 2)\n"
-              << "filter on:     " << static_cast<std::uint64_t>(
-                     fast.refsPerSec) << " refs/sec\n"
-              << "trace replay:  " << static_cast<std::uint64_t>(
-                     replay.refsPerSec) << " refs/sec\n"
-              << "speedup:       " << fast.refsPerSec / slow.refsPerSec
-              << "x (fast/slow), "
-              << replay.refsPerSec / fast.refsPerSec
+    auto rate = [](const std::vector<double> &v) {
+        return static_cast<std::uint64_t>(median(v));
+    };
+    std::cout << "medians of " << trials << " interleaved trials\n"
+              << "filter off:    " << rate(slowRate)
+              << " refs/sec (checkLevel 2)\n"
+              << "filter on:     " << rate(fastRate) << " refs/sec\n"
+              << "trace replay:  " << rate(replayRate) << " refs/sec\n"
+              << "speedup:       " << median(speedup)
+              << "x (fast/slow), " << median(replaySpeedup)
               << "x (replay/fast)\n"
-              << "kvlookup live:   " << static_cast<std::uint64_t>(
-                     kvLive.refsPerSec) << " refs/sec\n"
-              << "kvlookup replay: " << static_cast<std::uint64_t>(
-                     kvReplay.refsPerSec) << " refs/sec ("
-              << kvReplay.refsPerSec / kvLive.refsPerSec
-              << "x)\n";
+              << "kvlookup live:   " << rate(kvLiveRate) << " refs/sec\n"
+              << "kvlookup replay: " << rate(kvReplayRate) << " refs/sec ("
+              << median(kvReplaySpeedup) << "x)\n";
 
-    report.metric("refs_per_sec_slow", slow.refsPerSec);
-    report.metric("refs_per_sec_fast", fast.refsPerSec);
-    report.metric("refs_per_sec_replay", replay.refsPerSec);
-    report.metric("speedup", fast.refsPerSec / slow.refsPerSec);
-    report.metric("replay_speedup",
-                  replay.refsPerSec / fast.refsPerSec);
-    report.metric("kvlookup_refs_per_sec_live", kvLive.refsPerSec);
-    report.metric("kvlookup_refs_per_sec_replay", kvReplay.refsPerSec);
-    report.metric("kvlookup_replay_speedup",
-                  kvReplay.refsPerSec / kvLive.refsPerSec);
+    report.metric("refs_per_sec_slow", median(slowRate));
+    report.metric("refs_per_sec_fast", median(fastRate));
+    report.metric("refs_per_sec_replay", median(replayRate));
+    report.metric("speedup", median(speedup));
+    report.metric("replay_speedup", median(replaySpeedup));
+    report.metric("kvlookup_refs_per_sec_live", median(kvLiveRate));
+    report.metric("kvlookup_refs_per_sec_replay", median(kvReplayRate));
+    report.metric("kvlookup_replay_speedup", median(kvReplaySpeedup));
     report.finish();
 
     bool ok = true;

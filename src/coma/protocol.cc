@@ -47,6 +47,7 @@ CoherenceEngine::CoherenceEngine(const MachineConfig &cfg,
     // filter-off oracle the equivalence tests compare against.
     fastReads_ = traits_.fastReadFilter && cfg_.checkLevel < 2;
     fastWrites_ = fastReads_ && traits_.fastWriteFilter;
+    fastSlcReads_ = fastReads_ && traits_.tlbPoint != TlbPoint::FlcToSlc;
     if (fastReads_) {
         fast_.resize(static_cast<std::size_t>(cfg_.numNodes) *
                      fastBlocksPerCpu);
@@ -663,6 +664,41 @@ CoherenceEngine::fastWrite(CpuId cpu, VAddr va, Tick now, FastBlock &ent,
         page.modified = true;
     out.done = now + tm.slcHit;
     out.local = tm.slcHit;
+    out.remote = 0;
+    out.xlat = 0;
+    out.servedBy = ServedBy::Slc;
+    if (traits_.hasDlb)
+        ++dlbFilteredRefs;
+    return true;
+}
+
+bool
+CoherenceEngine::fastSlcRead(Node &node, VAddr va, Tick now,
+                             const FastBlock &ent, PageInfo &page,
+                             AccessResult &out)
+{
+    // A local AM copy means the read cannot leave the node, so no
+    // node-exit translation is due; an SLC hit never reaches the AM,
+    // so no SLC-to-AM translation is due either.
+    if (!fastSlcReads_)
+        return false;
+    const AmLine *line = ent.amLine;
+    if (!line || line->key != ent.amKey || !line->valid())
+        return false;
+    const VAddr pa = ent.paBase | (va & pageMask_);
+    const std::uint32_t sIdx =
+        node.slc.lookup(traits_.slcVirtual ? va : pa);
+    if (sIdx == Cache::npos)
+        return false;
+
+    // Commit: the FLC takes its read-miss fill exactly as in the slow
+    // path (which ignores its victim: the FLC is write-through).
+    node.flc.access(traits_.flcVirtual ? va : pa, RefType::Read);
+    node.slc.commitReadHit(sIdx);
+    page.referenced = true;
+    const Cycles lat = cfg_.timing.slcHit;
+    out.done = now + lat;
+    out.local = lat;
     out.remote = 0;
     out.xlat = 0;
     out.servedBy = ServedBy::Slc;

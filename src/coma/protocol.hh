@@ -97,12 +97,14 @@ class CoherenceEngine
 
     /**
      * Try to resolve the reference through the per-CPU fast filter
-     * without the full protocol walk: FLC read hits, and silent
-     * stores that hit the SLC while the node already holds the block
-     * Exclusive. On success fills @p out with exactly the result (and
-     * exactly the state/counter side effects) access() would have
-     * produced and returns true; on any doubt returns false with no
-     * state touched, and the caller falls back to access().
+     * without the full protocol walk: FLC read hits, SLC read hits on
+     * a block the node holds (schemes without a TLB between the FLC
+     * and the SLC), and silent stores that hit the SLC while the node
+     * already holds the block Exclusive. On success fills @p out with
+     * exactly the result (and exactly the state/counter side effects)
+     * access() would have produced and returns true; on any doubt
+     * returns false with no state touched, and the caller falls back
+     * to access().
      */
     bool
     fastAccess(CpuId cpu, RefType type, VAddr va, Tick now,
@@ -128,7 +130,7 @@ class CoherenceEngine
             traits_.flcVirtual ? va : ent.paBase | (va & pageMask_);
         const std::uint32_t idx = node.flc.lookup(flcKey);
         if (idx == Cache::npos)
-            return false;
+            return fastSlcRead(node, va, now, ent, page, out);
         // Commit: exactly the slow path's FLC-read-hit effects.
         node.flc.commitReadHit(idx);
         page.referenced = true;
@@ -330,6 +332,15 @@ class CoherenceEngine
     bool fastWrite(CpuId cpu, VAddr va, Tick now, FastBlock &ent,
                    PageInfo &page, AccessResult &out);
 
+    /**
+     * The FLC-read-miss half of fastAccess (out-of-line, like
+     * fastWrite): commits an SLC read hit on a block whose AM line
+     * the filter entry proves local, replicating the slow path's side
+     * effects exactly.
+     */
+    bool fastSlcRead(Node &node, VAddr va, Tick now, const FastBlock &ent,
+                     PageInfo &page, AccessResult &out);
+
     /** The access body; access() wraps it to fire transitionHook_. */
     AccessResult accessImpl(CpuId cpu, RefType type, VAddr va, Tick now);
 
@@ -439,6 +450,11 @@ class CoherenceEngine
     bool fastReads_ = false;
     /** ... and for writes (additionally excludes L1's per-store TLB). */
     bool fastWrites_ = false;
+    /**
+     * ... and for SLC read hits: no TLB is charged between the FLC
+     * and the SLC (excludes L1, whose TLB sees every FLC read miss).
+     */
+    bool fastSlcReads_ = false;
     VAddr pageMask_ = 0;
     /** Flat [cpu * fastBlocksPerCpu + slot]; one contiguous array
      *  keeps the per-reference probe to a single indirection. */
@@ -476,166 +492,6 @@ class CoherenceEngine
     };
 
   public:
-    /**
-     * Persistent per-CPU context for fastDrainMaterialised(): the
-     * loop invariants of the drain (filter stripe, node, FLC probe
-     * geometry) resolved once per Machine::run instead of once per
-     * drain episode — episodes are short (a handful of references
-     * between dispatch turns), so per-episode hoisting would eat
-     * the drained savings. Everything cached here is stable for the
-     * engine's lifetime; the only mutable cached state, the FLC LRU
-     * clock, is resynced at each episode boundary.
-     */
-    struct FastDrainCtx
-    {
-        Cache::ReadHitProber flc;
-        FastBlock *slots = nullptr;
-        Node *node = nullptr;
-    };
-
-    /** One drain context per CPU (empty when the filter is off). */
-    std::vector<FastDrainCtx>
-    makeFastDrainCtxs()
-    {
-        std::vector<FastDrainCtx> ctxs;
-        if (!fastReads_)
-            return ctxs;
-        ctxs.resize(rawNodes_.size());
-        for (std::size_t cpu = 0; cpu < rawNodes_.size(); ++cpu) {
-            ctxs[cpu].flc.attach(rawNodes_[cpu]->flc);
-            ctxs[cpu].slots =
-                fast_.data() + cpu * fastBlocksPerCpu;
-            ctxs[cpu].node = rawNodes_[cpu];
-        }
-        return ctxs;
-    }
-
-    /**
-     * Batch-drain for materialised (replayed) reference streams:
-     * consume a run of consecutive Kind::Mem references from
-     * [cur, end), resolving each through the fast filter with every
-     * loop invariant hoisted (via @p ctx and locals). The generic
-     * per-reference loop reloads those members on every iteration
-     * because the commit stores could alias them through `this`;
-     * hoisting them out of the per-reference path is where the
-     * replay speedup over the live fast path comes from.
-     *
-     * Stops *without consuming* at the first sync event or the first
-     * reference the filter cannot resolve (the caller retries that
-     * reference through the ordinary path), and stops *after*
-     * consuming a reference once @p readyAt exceeds @p tickLimit —
-     * the caller's dispatch bound (the runner-up CPU and the next
-     * reference-bit decay point), which makes the run provably
-     * order-identical to per-reference execution.
-     *
-     * Per consumed reference the state and counter side effects are
-     * exactly fastAccess()'s, and @p cur, @p readyAt and the four
-     * stat accumulators advance by exactly the amounts the generic
-     * path would have produced.
-     *
-     * @param ctx this CPU's context from makeFastDrainCtxs()
-     * @return the number of references consumed.
-     */
-    std::uint64_t
-    fastDrainMaterialised(FastDrainCtx &ctx, CpuId cpu,
-                          const MemRef *&cur, const MemRef *end,
-                          Tick &readyAt, Tick tickLimit,
-                          Cycles busyScale, std::uint64_t &reads,
-                          std::uint64_t &writes, std::uint64_t &busy,
-                          std::uint64_t &locStall)
-    {
-        if (!fastReads_ || cur == end)
-            return 0;
-        const unsigned blockBits = layout_.blockBits();
-        FastBlock *const slots = ctx.slots;
-        const std::uint64_t epoch = xlatEpoch_;
-        const bool flcVirtual = traits_.flcVirtual;
-        const VAddr pageMask = pageMask_;
-        const Cycles flcHit = cfg_.timing.flcHit;
-        ctx.flc.resync();
-        std::uint64_t nReads = 0, nWrites = 0;
-        std::uint64_t busyAcc = 0, stallAcc = 0;
-        Tick t = readyAt;
-        const MemRef *p = cur;
-        // Block/page validation memo: consecutive references usually
-        // stay within one AM block (and nothing a fast commit does
-        // can invalidate a filter entry mid-drain), so a repeated
-        // block skips straight to the cache probe.
-        std::uint64_t validBlockNum = ~std::uint64_t{0};
-        FastBlock *ent = nullptr;
-        PageInfo *page = nullptr;
-        while (p != end) {
-            const MemRef &ref = *p;
-            if (ref.kind != MemRef::Kind::Mem)
-                break;
-            const VAddr va = ref.vaddr;
-            const std::uint64_t blockNum = va >> blockBits;
-            if (blockNum != validBlockNum) {
-                FastBlock &cand =
-                    slots[blockNum & (fastBlocksPerCpu - 1)];
-                if (cand.blockVa != (blockNum << blockBits) ||
-                    cand.epoch != epoch || !cand.page->resident) {
-                    break;
-                }
-                ent = &cand;
-                page = cand.page;
-                validBlockNum = blockNum;
-            }
-            const Cycles work = ref.work * busyScale;
-            const Tick at = t + work;
-            if (ref.type == RefType::Read) {
-                if (!(page->protection & ProtRead))
-                    break;
-                const VAddr flcKey =
-                    flcVirtual ? va : ent->paBase | (va & pageMask);
-                if (!ctx.flc.tryReadHit(flcKey))
-                    break;
-                page->referenced = true;
-                t = at + flcHit;
-                stallAcc += flcHit;
-                ++nReads;
-            } else {
-                // fastWrite counts its own dlbFilteredRefs, and its
-                // write-through store goes through the FLC's ordinary
-                // access path — publish the prober's pending commits
-                // around it so the LRU clock interleaves exactly as
-                // in per-reference execution.
-                ctx.flc.flush();
-                AccessResult res;
-                const bool ok =
-                    fastWrite(cpu, va, at, *ent, *page, res);
-                ctx.flc.resync();
-                if (!ok)
-                    break;
-                t = res.done;
-                stallAcc += res.local;
-                ++nWrites;
-            }
-            busyAcc += work;
-            ++p;
-#if defined(__GNUC__) || defined(__clang__)
-            // The replay payload is sequential and mmapped: touch a
-            // few lines ahead so the walk never waits on memory.
-            __builtin_prefetch(p + 16);
-#endif
-            if (t > tickLimit)
-                break;
-        }
-        ctx.flc.flush();
-        const std::uint64_t n = static_cast<std::uint64_t>(p - cur);
-        if (n == 0)
-            return 0;
-        if (traits_.hasDlb)
-            dlbFilteredRefs += nReads;
-        reads += nReads;
-        writes += nWrites;
-        busy += busyAcc;
-        locStall += stallAcc;
-        readyAt = t;
-        cur = p;
-        return n;
-    }
-
     /** True if @p vpn must not be swapped out right now. */
     bool
     isPinned(PageNum vpn) const

@@ -169,7 +169,7 @@ struct MachineConfig
      * Coherence self-check level: 0 = off, 1 = verify versions at
      * attraction-memory/protocol touch points, 2 = verify on every
      * processor reference (slow; used by tests). Level 2 also turns
-     * off the engine's hit fast filter and replay drain, which makes
+     * off the engine's hit fast filter, which makes
      * it the filter-off oracle the equivalence tests compare against:
      * its sheets equal the default run's byte for byte.
      */

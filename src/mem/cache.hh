@@ -120,86 +120,6 @@ class Cache
      */
     void commitWriteMissNoAllocate() { ++writeMisses; }
 
-    /**
-     * Hoisted probe context for tight replay loops: geometry, table
-     * pointers and the LRU clock resolved into locals once, read-hit
-     * commits accumulated and published in one flush. Byte-identical
-     * to a lookup()+commitReadHit() sequence per hit. While a prober
-     * holds unflushed commits the cache must not be touched through
-     * any other path — flush() before such an access and resync()
-     * after it (the line tables live in place, only the clock and the
-     * hit counter are cached).
-     */
-    class ReadHitProber
-    {
-      public:
-        ReadHitProber() = default;
-        explicit ReadHitProber(Cache &c) { attach(c); }
-
-        /**
-         * Bind to @p c, hoisting its probe geometry. The table
-         * pointers stay valid for the cache's lifetime (the line
-         * arrays are sized once at construction), so an attached
-         * prober may be kept across many drain episodes; only the
-         * clock needs resync() per episode.
-         */
-        void
-        attach(Cache &c)
-        {
-            c_ = &c;
-            tags_ = c.tags_.data();
-            state_ = c.state_.data();
-            lastUse_ = c.lastUse_.data();
-            assoc_ = c.cfg_.assoc;
-            blockBits_ = c.blockBits_;
-            setBits_ = c.setBits_;
-            setMask_ = c.setMask_;
-            useClock_ = c.useClock_;
-        }
-
-        /** lookup() + commitReadHit() in one probe; false on miss. */
-        bool
-        tryReadHit(VAddr addr)
-        {
-            const std::uint64_t set = (addr >> blockBits_) & setMask_;
-            const VAddr tag = addr >> (blockBits_ + setBits_);
-            const std::size_t base = set * assoc_;
-            for (unsigned w = 0; w < assoc_; ++w) {
-                const std::size_t i = base + w;
-                if ((state_[i] & stValid) && tags_[i] == tag) {
-                    lastUse_[i] = ++useClock_;
-                    ++hits_;
-                    return true;
-                }
-            }
-            return false;
-        }
-
-        /** Publish the accumulated commits back into the cache. */
-        void
-        flush()
-        {
-            c_->useClock_ = useClock_;
-            c_->readHits += hits_;
-            hits_ = 0;
-        }
-
-        /** Re-hoist the clock after the cache was used directly. */
-        void resync() { useClock_ = c_->useClock_; }
-
-      private:
-        Cache *c_ = nullptr;
-        const VAddr *tags_ = nullptr;
-        const std::uint8_t *state_ = nullptr;
-        std::uint64_t *lastUse_ = nullptr;
-        unsigned assoc_ = 0;
-        unsigned blockBits_ = 0;
-        unsigned setBits_ = 0;
-        std::uint64_t setMask_ = 0;
-        std::uint64_t useClock_ = 0;
-        std::uint64_t hits_ = 0;
-    };
-
     /** Is line @p idx dirty? */
     bool dirtyAt(std::uint32_t idx) const { return state_[idx] & stDirty; }
 

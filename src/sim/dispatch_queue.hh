@@ -16,7 +16,6 @@
 #ifndef VCOMA_SIM_DISPATCH_QUEUE_HH
 #define VCOMA_SIM_DISPATCH_QUEUE_HH
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -73,23 +72,6 @@ class DispatchTree
     {
         node_[width_ + cpu].present = false;
         replay(cpu);
-    }
-
-    /**
-     * The second-smallest (readyAt, cpu), if any: the best of the
-     * losers along the winner's leaf-to-root path, since every other
-     * present CPU lost to one of them first.
-     */
-    std::optional<DispatchEntry>
-    runnerUp() const
-    {
-        std::optional<DispatchEntry> best;
-        for (unsigned k = width_ + node_[1].cpu; k > 1; k >>= 1) {
-            const Slot &s = node_[k ^ 1];
-            if (s.present && (!best || DispatchEntry{s.key, s.cpu} < *best))
-                best = DispatchEntry{s.key, s.cpu};
-        }
-        return best;
     }
 
   private:

@@ -251,16 +251,6 @@ Machine::run(Workload &workload)
 
     unsigned live = numCpus;
 
-    // Replay turbo (materialised streams only): per-CPU drain
-    // contexts with the fast filter's loop invariants pre-resolved.
-    // Disabled under the invariant checker, which must be credited
-    // per reference.
-    const bool drainable = materialised && !checker_ &&
-                           engine_.fastPathEnabled();
-    std::vector<CoherenceEngine::FastDrainCtx> drainCtxs =
-        drainable ? engine_.makeFastDrainCtxs()
-                  : std::vector<CoherenceEngine::FastDrainCtx>{};
-
     // Loop-invariant loads the optimiser cannot hoist itself because
     // engine_.access may alias the members through `this`.
     const Tick watchdogCycles = watchdogCycles_;
@@ -305,34 +295,6 @@ Machine::run(Workload &workload)
         }
         VCOMA_ASSERT(!proc.done);
         VCOMA_ASSERT(when == proc.readyAt);
-
-        if (drainable && proc.cur != proc.end) {
-            // Replay turbo: hand the engine a whole run of this CPU's
-            // references in one call, with its loop invariants
-            // hoisted. The run stops once the CPU would no longer be
-            // the globally next event: past the runner-up in
-            // (readyAt, cpu) order, or at the next reference-bit
-            // decay point. So the dispatch order is exactly
-            // per-reference order.
-            Tick limit = nextDecay - 1;
-            if (const auto up = ready.runnerUp()) {
-                const auto [td, d] = *up;
-                limit = std::min(limit, cpu < d ? td : td - 1);
-            }
-            const std::uint64_t n = engine_.fastDrainMaterialised(
-                drainCtxs[cpu], cpu, proc.cur, proc.end, proc.readyAt,
-                limit, busyScale, proc.stats.reads, proc.stats.writes,
-                proc.stats.busy, proc.stats.locStall);
-            if (n != 0) {
-                proc.stats.refs += n;
-                proc.lastRef = proc.cur - 1;
-                lastRetire = std::max(lastRetire, proc.readyAt);
-                ready.schedule(cpu, proc.readyAt);
-                continue;
-            }
-            // The next reference cannot be fast-resolved: it falls
-            // through to the ordinary path.
-        }
 
         const MemRef *next;
         if (materialised) {

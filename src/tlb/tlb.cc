@@ -52,6 +52,9 @@ Tlb::lookupAndFill(PageNum vpn, PageNum *evictedOut)
         *evictedOut = noVpn;
     if (entries_ == 0)
         return false;
+    if (vpn == last_)
+        return true;
+    last_ = vpn;
     if (assoc_ == 0) {
         if (faIndex_.find(vpn))
             return true;
@@ -131,6 +134,8 @@ Tlb::invalidate(PageNum vpn)
 {
     if (entries_ == 0)
         return false;
+    if (vpn == last_)
+        last_ = noVpn;
     if (assoc_ == 0) {
         auto *e = faIndex_.find(vpn);
         if (!e)
@@ -182,6 +187,7 @@ Tlb::addStats(StatGroup &g, const std::string &prefix) const
 void
 Tlb::flush()
 {
+    last_ = noVpn;
     if (entries_ == 0)
         return;
     if (assoc_ == 0) {

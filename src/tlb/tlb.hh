@@ -130,6 +130,14 @@ class Tlb
     std::vector<PageNum> saTags_;
     unsigned numSets_ = 0;
 
+    /**
+     * The previous access's vpn, which the structure holds: a hit
+     * changes no state, so a repeat is a hit without an index probe.
+     * Cleared when that entry is invalidated or flushed; never set on
+     * a 0-entry TLB.
+     */
+    PageNum last_ = noVpn;
+
     bool lookupAndFill(PageNum vpn, PageNum *evictedOut);
 };
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * Oracle tests for the per-reference core's speed layers: the fast
- * filter, the replay drain, winner-tree dispatch, the page memo and
- * the TLB/DLB lanes. None of them may move a sheet byte.
+ * filter (FLC and SLC read hits, silent stores), winner-tree
+ * dispatch, the page memo and the TLB/DLB lanes. None of them may
+ * move a sheet byte.
  *
- * The filter and the drain are pinned at run time: every case's
+ * The filter is pinned at run time: every case's
  * default run must match a checkLevel 2 run, which turns the filter
  * off and sends every reference through CoherenceEngine::access().
  * The layers checkLevel 2 keeps are pinned by the digest manifest
@@ -338,7 +339,7 @@ TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
     // (checkLevel 2) — and require identical stats sheets. The replay
     // goes through TraceWorkload's parser, so this also round-trips
     // the trace text format; its streams are materialised, so the
-    // default run also covers the replay drain on text traces.
+    // default run also covers the replay cursor on text traces.
     WorkloadParams p;
     p.threads = 4;
     p.scale = 0.02;
@@ -363,9 +364,8 @@ TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
 TEST(FastPathTrace, PackedReplayAt32NodesIsIdentical)
 {
     // Record a packed trace of a live 32-node run, then replay it
-    // filter on (the winner tree bounds each replay drain by the
-    // runner-up) and off (checkLevel 2, no drain): both replays must
-    // reproduce the live sheet byte for byte. RAYTRACE's tiles follow
+    // filter on and off (checkLevel 2): both replays must reproduce
+    // the live sheet byte for byte. RAYTRACE's tiles follow
     // lock grants; OCEAN and BARNES are barrier-heavy.
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
@@ -398,12 +398,13 @@ TEST(FastPathTrace, PackedReplayAt32NodesIsIdentical)
 
 TEST(FastPathTrace, DrainYieldsTickTiesToLowerCpu)
 {
-    // After a barrier, CPU 1 drains FLC read hits of block X, one
+    // After a barrier, CPU 1 retires FLC read hits of block X, one
     // tick each (busyScale 1, flcHit 0), while CPU 0 spends exactly
     // `pairs` uncontended lock round trips before writing X. CPU 1's
     // last read lands on CPU 0's write tick, and the tie belongs to
     // CPU 0: its write invalidates X first, so that read must miss.
-    // A drain bound one tick too loose turns it into a hit.
+    // Any batching of CPU 1's filter hits past the tie turns it into
+    // a hit.
     constexpr unsigned pairs = 50;
     constexpr Cycles lockTransfer = 40;
     std::ostringstream trace;
@@ -462,4 +463,119 @@ TEST(FastPathCheckLevel, DeepCheckingDisablesFastPath)
     cfg.checkLevel = 2;
     Machine machine(cfg);
     EXPECT_FALSE(machine.fastPathActive());
+}
+
+namespace
+{
+
+/** Every component counter of @p m, as dumpStats() prints it. */
+std::string
+dumpOf(const Machine &m)
+{
+    std::ostringstream os;
+    m.dumpStats(os);
+    return os.str();
+}
+
+/**
+ * Retire one reference the way Machine::run does: the fast filter
+ * first, access() on a decline. @return whether the filter took it.
+ */
+bool
+retire(Machine &m, CpuId cpu, RefType type, VAddr va, Tick now,
+       AccessResult &res)
+{
+    if (m.engine().fastAccess(cpu, type, va, now, res))
+        return true;
+    res = m.access(cpu, type, va, now);
+    return false;
+}
+
+} // namespace
+
+TEST(FastPathSlcRead, FlcMissSlcHitRetiresInTheFilter)
+{
+    // tinyConfig's FLC blocks are 32 bytes and its SLC blocks 64: a
+    // read of the second FLC block of an SLC block the first read
+    // brought in misses the FLC and hits the SLC, with the AM block
+    // held locally. Every scheme without a TLB between the FLC and
+    // the SLC retires it in the filter; L1 charges its TLB on that
+    // FLC miss, so it must decline.
+    constexpr VAddr va = 0x1000;
+    for (const Scheme scheme : {Scheme::L1, Scheme::L2, Scheme::L3,
+                                Scheme::VCOMA, Scheme::NMT}) {
+        SCOPED_TRACE(schemeName(scheme));
+        Machine fast(testConfig(scheme, 4));
+        Machine deep(testConfig(scheme, 4, true, deepCheck));
+        ASSERT_TRUE(fast.fastPathActive());
+        AccessResult f, d;
+        EXPECT_FALSE(retire(fast, 0, RefType::Read, va, 0, f));
+        d = deep.access(0, RefType::Read, va, 0);
+
+        const bool took = retire(fast, 0, RefType::Read, va + 32, 1000, f);
+        EXPECT_EQ(took, scheme != Scheme::L1);
+        d = deep.access(0, RefType::Read, va + 32, 1000);
+        EXPECT_EQ(d.servedBy, ServedBy::Slc);
+        EXPECT_EQ(f.servedBy, d.servedBy);
+        EXPECT_EQ(f.done, d.done);
+        EXPECT_EQ(f.local, d.local);
+        EXPECT_EQ(f.remote, d.remote);
+        EXPECT_EQ(f.xlat, d.xlat);
+        EXPECT_EQ(dumpOf(fast), dumpOf(deep));
+
+        // The same references as a run: every sheet byte must match
+        // the checkLevel 2 run's.
+        std::ostringstream trace;
+        trace << "vcoma-trace-v1\nthreads 4\n"
+              << "0 R 0x1000 0\n0 R 0x1020 5\n0 R 0x1020 5\n"
+              << "1 R 0x1000 0\n1 R 0x1020 5\n";
+        auto replayOnce = [&](unsigned checkLevel) {
+            std::istringstream is(trace.str());
+            TraceWorkload w(is);
+            return sheet(testConfig(scheme, 4, true, checkLevel), w);
+        };
+        const RunResult on = replayOnce(1);
+        const RunResult off = replayOnce(deepCheck);
+        expectSameStats(on.stats, off.stats);
+        EXPECT_EQ(on.json, off.json);
+        EXPECT_EQ(on.dump, off.dump);
+    }
+}
+
+TEST(FastPathSlcRead, StaleAmLineFallsBackToAccess)
+{
+    // The SLC branch trusts the filter entry's cached AM line only
+    // while its key still matches and it is valid. Re-key or
+    // invalidate that line behind the filter's back: the read must be
+    // declined with nothing touched, and taken again once restored.
+    constexpr VAddr va = 0x1000;
+    for (const Scheme scheme : {Scheme::L3, Scheme::VCOMA}) {
+        SCOPED_TRACE(schemeName(scheme));
+        Machine m(testConfig(scheme, 4));
+        AccessResult res;
+        ASSERT_FALSE(retire(m, 0, RefType::Read, va, 0, res));
+        const VAddr blockVa = m.node(0).am.blockAlign(va);
+        const VAddr key = m.traits().amVirtual ||
+                                  !m.traits().hasPhysicalAddresses()
+                              ? blockVa
+                              : m.pageTable().translate(blockVa);
+        AmLine *line = m.node(0).am.find(key);
+        ASSERT_NE(line, nullptr);
+        const AmLine saved = *line;
+        const std::string before = dumpOf(m);
+
+        line->key = key + m.config().am.blockBytes;
+        EXPECT_FALSE(
+            m.engine().fastAccess(0, RefType::Read, va + 32, 1000, res));
+        *line = saved;
+        line->state = AmState::Invalid;
+        EXPECT_FALSE(
+            m.engine().fastAccess(0, RefType::Read, va + 32, 1000, res));
+        *line = saved;
+        EXPECT_EQ(dumpOf(m), before);
+
+        EXPECT_TRUE(
+            m.engine().fastAccess(0, RefType::Read, va + 32, 1000, res));
+        EXPECT_EQ(res.servedBy, ServedBy::Slc);
+    }
 }

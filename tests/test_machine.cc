@@ -183,6 +183,33 @@ TEST(MachineCross, TimedTranslationTogglesXlatStall)
     }
 }
 
+/**
+ * A timed L0 run charges the translation-miss service time exactly
+ * once per TLB miss, at every cost the xlat_cost ablation sweeps
+ * (paper_ablations.json). RADIX's per-node reference streams do not
+ * depend on timing, so the miss count does not move with the cost:
+ * any change in execution time comes from how the delays reshape
+ * contention, not from the penalty's accounting.
+ */
+TEST(MachineCross, XlatStallIsMissesTimesPenaltyAtEveryCost)
+{
+    std::uint64_t misses = 0;
+    for (const Cycles penalty : {20u, 40u, 80u, 160u}) {
+        SCOPED_TRACE(penalty);
+        MachineConfig cfg = tinyConfig(Scheme::L0);
+        cfg.timing.translationMiss = penalty;
+        Machine m(cfg);
+        auto w = makeWorkload("RADIX", tinyParams());
+        const RunStats stats = m.run(*w);
+        EXPECT_GT(stats.tlbMisses, 0u);
+        EXPECT_EQ(stats.tlbWritebackMisses, 0u);
+        EXPECT_EQ(stats.totalXlatStall(), stats.tlbMisses * penalty);
+        if (misses == 0)
+            misses = stats.tlbMisses;
+        EXPECT_EQ(stats.tlbMisses, misses);
+    }
+}
+
 namespace
 {
 

@@ -146,8 +146,8 @@ class ReplayIdentity : public ::testing::TestWithParam<Case>
 TEST_P(ReplayIdentity, ReplayedRunIsByteIdenticalToLiveRun)
 {
     const auto [workload, fast] = GetParam();
-    // "_slow" cases run checkLevel 2, which turns the fast filter and
-    // the replay drain off.
+    // "_slow" cases run checkLevel 2, which turns the fast filter
+    // off.
     const unsigned checkLevel = fast ? 1 : 2;
 
     TempDir dir;

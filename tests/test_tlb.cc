@@ -196,6 +196,52 @@ TEST(Tlb, FullyAssociativeCollidingKeysMatchSetModel)
     ASSERT_NO_FATAL_FAILURE(expectSame("refilled after flush"));
 }
 
+TEST(Tlb, RepeatedVpnIsAHit)
+{
+    for (const unsigned assoc : {0u, 1u, 4u}) {
+        SCOPED_TRACE(assoc);
+        Tlb tlb(8, assoc, 1);
+        EXPECT_FALSE(tlb.access(5));
+        EXPECT_TRUE(tlb.access(5));
+        EXPECT_TRUE(tlb.access(5, StreamClass::Writeback));
+        PageNum evicted = 0;
+        EXPECT_TRUE(tlb.access(5, StreamClass::Demand, &evicted));
+        EXPECT_EQ(evicted, Tlb::noVpn);
+        EXPECT_EQ(tlb.demandAccesses.value(), 3u);
+        EXPECT_EQ(tlb.demandMisses.value(), 1u);
+        EXPECT_EQ(tlb.writebackAccesses.value(), 1u);
+        EXPECT_EQ(tlb.writebackMisses.value(), 0u);
+    }
+}
+
+TEST(Tlb, InvalidateOrFlushOfTheLastVpnForcesAMiss)
+{
+    for (const unsigned assoc : {0u, 1u, 4u}) {
+        SCOPED_TRACE(assoc);
+        Tlb tlb(8, assoc, 1);
+        tlb.access(5);
+        EXPECT_TRUE(tlb.invalidate(5));
+        EXPECT_FALSE(tlb.access(5));
+        tlb.flush();
+        EXPECT_FALSE(tlb.access(5));
+        EXPECT_EQ(tlb.demandMisses.value(), 3u);
+        // Invalidating another page leaves the repeat a hit.
+        tlb.access(6);
+        tlb.access(5);
+        EXPECT_TRUE(tlb.invalidate(6));
+        EXPECT_TRUE(tlb.access(5));
+    }
+}
+
+TEST(Tlb, ZeroEntriesMissOnARepeat)
+{
+    Tlb tlb(0, 0, 1);
+    EXPECT_FALSE(tlb.access(5));
+    EXPECT_FALSE(tlb.access(5));
+    EXPECT_EQ(tlb.demandMisses.value(), 2u);
+    EXPECT_FALSE(tlb.contains(5));
+}
+
 /** An index built for no keys still has a real, empty table. */
 TEST(FlatIndex, EmptyIndexHasMinimumTable)
 {
@@ -265,6 +311,154 @@ TEST_P(TlbProperty, MonotoneInSize)
         big.access(p);
     }
     EXPECT_LE(big.misses(), small.misses());
+}
+
+namespace
+{
+
+/**
+ * Tlb's replacement policy written out without the repeat memo or the
+ * flat index: a linear scan decides every access.
+ */
+class ReferenceTlb
+{
+  public:
+    ReferenceTlb(unsigned entries, unsigned assoc, std::uint64_t seed)
+        : entries_(entries), assoc_(assoc), rng_(seed)
+    {
+        flush();
+    }
+
+    bool
+    access(PageNum vpn, PageNum &evicted)
+    {
+        evicted = Tlb::noVpn;
+        if (contains(vpn))
+            return true;
+        if (assoc_ == 0) {
+            unsigned slot;
+            if (!free_.empty()) {
+                slot = free_.back();
+                free_.pop_back();
+            } else {
+                slot = static_cast<unsigned>(rng_.below(entries_));
+                evicted = slots_[slot];
+            }
+            slots_[slot] = vpn;
+            return false;
+        }
+        PageNum *const set = &slots_[setBase(vpn)];
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (set[w] == Tlb::noVpn) {
+                set[w] = vpn;
+                return false;
+            }
+        }
+        const unsigned victim = static_cast<unsigned>(rng_.below(assoc_));
+        evicted = set[victim];
+        set[victim] = vpn;
+        return false;
+    }
+
+    bool
+    invalidate(PageNum vpn)
+    {
+        const std::size_t i = find(vpn);
+        if (i == slots_.size())
+            return false;
+        slots_[i] = Tlb::noVpn;
+        if (assoc_ == 0)
+            free_.push_back(static_cast<unsigned>(i));
+        return true;
+    }
+
+    bool contains(PageNum vpn) const { return find(vpn) != slots_.size(); }
+
+    void
+    flush()
+    {
+        slots_.assign(entries_, Tlb::noVpn);
+        free_.clear();
+        if (assoc_ == 0) {
+            for (unsigned i = 0; i < entries_; ++i)
+                free_.push_back(entries_ - 1 - i);
+        }
+    }
+
+  private:
+    /** First slot of @p vpn's set (0 when fully associative). */
+    std::size_t
+    setBase(PageNum vpn) const
+    {
+        if (assoc_ == 0)
+            return 0;
+        const unsigned sets = entries_ / assoc_;
+        return static_cast<std::size_t>(vpn & (sets - 1)) * assoc_;
+    }
+
+    /** Slot holding @p vpn, or slots_.size(). */
+    std::size_t
+    find(PageNum vpn) const
+    {
+        const std::size_t base = setBase(vpn);
+        const std::size_t ways = assoc_ == 0 ? entries_ : assoc_;
+        for (std::size_t i = base; i < base + ways; ++i) {
+            if (slots_[i] == vpn)
+                return i;
+        }
+        return slots_.size();
+    }
+
+    unsigned entries_;
+    unsigned assoc_;
+    Rng rng_;
+    std::vector<PageNum> slots_;
+    std::vector<unsigned> free_;
+};
+
+} // namespace
+
+/**
+ * The repeat memo is invisible: on random streams full of repeats,
+ * with invalidations (often of the last vpn) and flushes interleaved,
+ * every hit, eviction and presence answer matches a memo-free model.
+ */
+TEST_P(TlbProperty, RepeatMemoMatchesAMemoFreeModel)
+{
+    const auto [entries, assoc] = GetParam();
+    Tlb tlb(entries, assoc, 41);
+    ReferenceTlb model(entries, assoc, 41);
+    const PageNum pool = entries * 2;
+    Rng rng(43);
+    PageNum last = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const PageNum vpn = rng.below(2) ? last : rng.below(pool);
+        switch (rng.below(16)) {
+          case 0:
+          case 1:
+          case 2:
+            ASSERT_EQ(tlb.invalidate(vpn), model.invalidate(vpn))
+                << "step " << i;
+            break;
+          case 3:
+            if (rng.below(64) == 0) {
+                tlb.flush();
+                model.flush();
+            }
+            break;
+          default: {
+            PageNum gotEvicted = 0, wantEvicted = 0;
+            const bool want = model.access(vpn, wantEvicted);
+            ASSERT_EQ(tlb.access(vpn, StreamClass::Demand, &gotEvicted),
+                      want)
+                << "step " << i;
+            ASSERT_EQ(gotEvicted, wantEvicted) << "step " << i;
+            last = vpn;
+          }
+        }
+    }
+    for (PageNum p = 0; p < pool; ++p)
+        EXPECT_EQ(tlb.contains(p), model.contains(p)) << "vpn " << p;
 }
 
 INSTANTIATE_TEST_SUITE_P(
