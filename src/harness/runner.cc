@@ -24,11 +24,9 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "sim/machine.hh"
-#include "sim/memref_pack.hh"
 #include "sim/run_stats_json.hh"
 #include "translation/scheme.hh"
 #include "translation/system_builder.hh"
-#include "workloads/replay.hh"
 #include "workloads/workload.hh"
 
 namespace vcoma
@@ -114,20 +112,6 @@ applyConfiguredFault(Machine &machine, const ExperimentConfig &cfg)
         " but the invariant sweep did not detect it"));
 }
 
-MachineConfig
-machineConfig(const ExperimentConfig &cfg)
-{
-    MachineConfig mc = baselineConfig(cfg.scheme, cfg.tlbEntries,
-                                      cfg.tlbAssoc);
-    mc.numNodes = cfg.nodes;
-    mc.timedTranslation = cfg.timedTranslation;
-    mc.translation.writebacksAccessTlb = cfg.writebacksAccessTlb;
-    mc.seed = cfg.seed;
-    mc.am.assoc = cfg.amAssoc;
-    mc.timing.translationMiss = cfg.xlatPenalty;
-    return mc;
-}
-
 /** The key of @p cfg under @p scheme with the TLB/DLB at @p entries. */
 std::string
 siblingKey(ExperimentConfig cfg, Scheme scheme, unsigned entries)
@@ -156,8 +140,32 @@ ExperimentConfig::key() const
     return os.str();
 }
 
+MachineConfig
+ExperimentConfig::machine() const
+{
+    MachineConfig mc = baselineConfig(scheme, tlbEntries, tlbAssoc);
+    mc.numNodes = nodes;
+    mc.timedTranslation = timedTranslation;
+    mc.translation.writebacksAccessTlb = writebacksAccessTlb;
+    mc.seed = seed;
+    mc.am.assoc = amAssoc;
+    mc.timing.translationMiss = xlatPenalty;
+    return mc;
+}
+
+WorkloadParams
+ExperimentConfig::workloadParams() const
+{
+    WorkloadParams wp;
+    wp.threads = nodes;
+    wp.scale = scale;
+    wp.seed = seed;
+    wp.raytraceV2Layout = raytraceV2;
+    return wp;
+}
+
 Runner::Runner(std::string cacheDir)
-    : cacheDir_(std::move(cacheDir)), traceDir_(envTraceDir())
+    : cacheDir_(std::move(cacheDir))
 {
     if (!cacheDir_.empty()) {
         std::error_code ec;
@@ -171,19 +179,6 @@ Runner::Runner(std::string cacheDir)
     if (!cacheDir_.empty()) {
         if (const std::uint64_t maxBytes = envCacheMaxBytes())
             pruneCache(cacheDir_, maxBytes);
-    }
-    if (!traceDir_.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(traceDir_, ec);
-        if (ec) {
-            warn("cannot create trace dir '", traceDir_,
-                 "': record/replay disabled");
-            traceDir_.clear();
-        }
-    }
-    if (!traceDir_.empty()) {
-        if (const std::uint64_t maxBytes = envTraceMaxBytes())
-            pruneTraces(traceDir_, maxBytes);
     }
 }
 
@@ -203,14 +198,10 @@ Runner::envJobs()
     return ThreadPool::defaultThreads();
 }
 
-namespace
-{
-
-/** Parse a megabyte budget env var into bytes; 0 = unlimited. */
 std::uint64_t
-envMegabytes(const char *name)
+Runner::envCacheMaxBytes()
 {
-    const char *s = std::getenv(name);
+    const char *s = std::getenv("VCOMA_CACHE_MAX_MB");
     if (!s || !*s)
         return 0;
     const char *p = s;
@@ -219,7 +210,7 @@ envMegabytes(const char *name)
     char *end = nullptr;
     const unsigned long long mb = std::strtoull(p, &end, 10);
     if (*p == '-' || end == p || *end != '\0') {
-        warn("unparsable ", name, "='", s, "': left unbounded");
+        warn("unparsable VCOMA_CACHE_MAX_MB='", s, "': left unbounded");
         return 0;
     }
     constexpr std::uint64_t mib = 1024 * 1024;
@@ -228,17 +219,8 @@ envMegabytes(const char *name)
     return mb * mib;
 }
 
-/**
- * Shared pruning policy for the result cache and the trace dir:
- * delete oldest-mtime `*<extension>` files until the survivors fit
- * the budget. Equal mtimes — the common case inside one batch sweep,
- * where many entries land within the filesystem's timestamp
- * granularity — are ordered by file name so the victim choice is
- * deterministic and never depends on directory iteration order.
- */
 unsigned
-pruneOldest(const std::string &dir, std::uint64_t maxBytes,
-            const char *extension, const char *what)
+Runner::pruneCache(const std::string &dir, std::uint64_t maxBytes)
 {
     namespace fs = std::filesystem;
     struct Entry
@@ -252,7 +234,7 @@ pruneOldest(const std::string &dir, std::uint64_t maxBytes,
     std::error_code ec;
     for (const auto &de : fs::directory_iterator(dir, ec)) {
         if (!de.is_regular_file(ec) ||
-            de.path().extension() != extension)
+            de.path().extension() != ".json")
             continue;
         const auto mtime = de.last_write_time(ec);
         if (ec)
@@ -284,46 +266,14 @@ pruneOldest(const std::string &dir, std::uint64_t maxBytes,
         if (fs::remove(e.path, ec))
             ++removed;
         else if (ec)
-            warn("cannot prune ", what, " '", e.path.string(), "': ",
+            warn("cannot prune cache entry '", e.path.string(), "': ",
                  ec.message());
     }
     if (removed)
-        inform("pruned ", removed, " ", what, removed == 1 ? "" : "s",
-               " from '", dir, "' (budget ", maxBytes, " bytes)");
+        inform("pruned ", removed, " cache entr",
+               removed == 1 ? "y" : "ies", " from '", dir, "' (budget ",
+               maxBytes, " bytes)");
     return removed;
-}
-
-} // namespace
-
-std::uint64_t
-Runner::envCacheMaxBytes()
-{
-    return envMegabytes("VCOMA_CACHE_MAX_MB");
-}
-
-std::string
-Runner::envTraceDir()
-{
-    const char *s = std::getenv("VCOMA_TRACE_DIR");
-    return s ? s : "";
-}
-
-std::uint64_t
-Runner::envTraceMaxBytes()
-{
-    return envMegabytes("VCOMA_TRACE_MAX_MB");
-}
-
-unsigned
-Runner::pruneCache(const std::string &dir, std::uint64_t maxBytes)
-{
-    return pruneOldest(dir, maxBytes, ".json", "cache entry");
-}
-
-unsigned
-Runner::pruneTraces(const std::string &dir, std::uint64_t maxBytes)
-{
-    return pruneOldest(dir, maxBytes, ".vctrace", "recorded trace");
 }
 
 const RunStats &
@@ -463,7 +413,7 @@ Runner::runAll(std::span<const ExperimentConfig> cfgs,
                 continue;
             }
             covered.insert(key);
-            for (const Lane &l : siblingLanes(machineConfig(cfgs[i])))
+            for (const Lane &l : siblingLanes(cfgs[i].machine()))
                 covered.insert(siblingKey(cfgs[i], l.scheme, l.entries));
             claimed.insert(key);
             toRun.push_back(i);
@@ -530,60 +480,13 @@ Runner::Sheets
 Runner::execute(const ExperimentConfig &cfg)
 {
     ++executed_;
-    const MachineConfig mc = machineConfig(cfg);
-
-    WorkloadParams wp;
-    wp.threads = cfg.nodes;
-    wp.scale = cfg.scale;
-    wp.seed = cfg.seed;
-    wp.raytraceV2Layout = cfg.raytraceV2;
-
-    // Record/replay ($VCOMA_TRACE_DIR): the first execution of a
-    // config records the packed memref streams its workload produced;
-    // later executions mmap and replay them, skipping the workload
-    // algorithm entirely. An unusable trace (corrupt, truncated,
-    // version- or key-mismatched) is rejected with a warning and the
-    // run falls back to live generation, re-recording over it —
-    // never a crash, never a silent partial replay.
-    // "TRACE:<path>" workloads already replay an external packed
-    // trace; recording them again (or shadowing them with a
-    // trace-dir entry whose recorded key can never match) would be
-    // circular, so they bypass the machinery entirely.
-    std::string tracePath;
-    if (!traceDir_.empty() && !isTraceSpelling(cfg.workload))
-        tracePath = traceDir_ + "/" + cfg.key() + ".vctrace";
-
+    const MachineConfig mc = cfg.machine();
     try {
         Machine machine(mc);
-        std::unique_ptr<Workload> workload;
-        if (!tracePath.empty() &&
-            std::filesystem::exists(tracePath)) {
-            try {
-                auto replay = std::make_unique<ReplayWorkload>(tracePath);
-                if (replay->recordedKey() != cfg.key()) {
-                    warn("trace '", tracePath, "' was recorded for key ",
-                         replay->recordedKey(), ", not ", cfg.key(),
-                         ": regenerating");
-                } else {
-                    workload = std::move(replay);
-                }
-            } catch (const TraceFormatError &e) {
-                warn(e.what(), ": regenerating");
-            }
-        }
-        std::unique_ptr<RecordingWorkload> recording;
-        if (!workload) {
-            workload = makeWorkload(cfg.workload, wp);
-            if (!tracePath.empty()) {
-                recording = std::make_unique<RecordingWorkload>(
-                    *workload, tracePath, cfg.key());
-            }
-        }
+        const std::unique_ptr<Workload> workload =
+            makeWorkload(cfg.workload, cfg.workloadParams());
         Sheets sheets;
-        sheets.emplace_back(cfg.key(),
-                            machine.run(recording ? *recording : *workload));
-        if (recording)
-            recording->finalize();
+        sheets.emplace_back(cfg.key(), machine.run(*workload));
         if (!cfg.injectFault.empty())
             applyConfiguredFault(machine, cfg);
         for (const LaneSheet &lane : machine.laneSheets()) {

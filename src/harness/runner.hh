@@ -2,8 +2,9 @@
  * @file
  * The experiment runner: builds a machine and a workload from an
  * ExperimentConfig, runs the simulation, and caches the resulting
- * stats sheet both in memory and on disk so that the benchmark
- * binaries (one per paper table/figure) can share simulation runs.
+ * stats sheet both in memory and on disk, so that every client
+ * (vcoma_client, the sweep specs behind the paper tables and
+ * figures, the tests) shares simulation runs.
  *
  * Batches submitted through runAll() execute concurrently on up to
  * $VCOMA_JOBS worker threads. Each simulation is single-threaded and
@@ -25,6 +26,7 @@
 
 #include "common/config.hh"
 #include "sim/run_stats.hh"
+#include "workloads/workload.hh"
 
 namespace vcoma
 {
@@ -75,6 +77,12 @@ struct ExperimentConfig
 
     /** Stable cache key. */
     std::string key() const;
+
+    /** The machine this config simulates. */
+    MachineConfig machine() const;
+
+    /** The parameters its workload is built with. */
+    WorkloadParams workloadParams() const;
 };
 
 /** Record of one config that failed to simulate (graceful sweeps). */
@@ -179,19 +187,6 @@ class Runner
     static std::uint64_t envCacheMaxBytes();
 
     /**
-     * Reference-trace directory from $VCOMA_TRACE_DIR; empty string
-     * (the default) disables record/replay. When set, the first
-     * execution of a config records its packed memref trace under
-     * `<dir>/<cache key>.vctrace`, and later executions of the same
-     * config replay the trace instead of re-running the workload
-     * algorithm (see DESIGN.md "Packed memref traces").
-     */
-    static std::string envTraceDir();
-
-    /** Trace-dir budget from $VCOMA_TRACE_MAX_MB in bytes; 0 = unlimited. */
-    static std::uint64_t envTraceMaxBytes();
-
-    /**
      * Delete the oldest-mtime cache entries (*.json files) in @p dir
      * until the survivors fit in @p maxBytes. Files that are not
      * cache entries — subdirectories, in-flight *.tmp.* stagings,
@@ -205,15 +200,6 @@ class Runner
      */
     static unsigned pruneCache(const std::string &dir,
                                std::uint64_t maxBytes);
-
-    /**
-     * Same policy over recorded traces (*.vctrace files): oldest
-     * mtime first, name as the deterministic tie-break. Runs at
-     * Runner construction when $VCOMA_TRACE_DIR and
-     * $VCOMA_TRACE_MAX_MB are both set.
-     */
-    static unsigned pruneTraces(const std::string &dir,
-                                std::uint64_t maxBytes);
 
     /**
      * Simulations actually executed. One simulation of an untimed
@@ -250,8 +236,6 @@ class Runner
                        const std::string &key, const std::string &error);
 
     std::string cacheDir_;
-    /** $VCOMA_TRACE_DIR at construction; empty = record/replay off. */
-    std::string traceDir_;
     mutable std::mutex mutex_; ///< guards memo_ and failed_
     std::map<std::string, RunStats> memo_;
     std::map<std::string, FailedRun> failed_;

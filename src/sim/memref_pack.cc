@@ -208,8 +208,10 @@ void
 PackedTraceWriter::flush(unsigned tid)
 {
     Buffer &b = buffers_[tid];
-    if (b.used == 0 || ioFailed_)
+    if (b.used == 0 || ioFailed_) {
+        b.used = 0;  // a failed writer still drains, or append overruns
         return;
+    }
     // Staging chunk: u32 tid, u32 recordCount, then the raw records.
     // One sequential staging file keeps the recorder to a single fd
     // however many threads the workload has.
@@ -368,11 +370,9 @@ PackedTraceWriter::finalize(std::string *error)
 
     std::error_code ec;
     std::filesystem::rename(outPath, finalPath_, ec);
-    if (ec) {
-        std::filesystem::remove(outPath, ec);
+    if (ec)  // fail() removes outPath
         return fail("cannot publish '" + finalPath_ + "': " +
                     ec.message());
-    }
     discardStaging();
     finalized_ = true;
     return true;

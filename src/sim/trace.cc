@@ -4,13 +4,13 @@
 #include <istream>
 #include <limits>
 #include <optional>
-#include <ostream>
 #include <sstream>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/parse_number.hh"
-#include "common/types.hh"
 
 namespace vcoma
 {
@@ -19,22 +19,6 @@ namespace
 {
 
 constexpr const char *traceMagic = "vcoma-trace-v1";
-
-char
-kindChar(const MemRef &ref)
-{
-    switch (ref.kind) {
-      case MemRef::Kind::Mem:
-        return ref.type == RefType::Read ? 'R' : 'W';
-      case MemRef::Kind::Barrier:
-        return 'B';
-      case MemRef::Kind::LockAcquire:
-        return 'L';
-      case MemRef::Kind::LockRelease:
-        return 'U';
-    }
-    return '?';
-}
 
 /** Whitespace-separated fields of one trace line. */
 std::vector<std::string>
@@ -62,71 +46,8 @@ parseAddress(std::string_view text)
 
 } // namespace
 
-std::uint64_t
-recordTrace(Workload &workload, std::ostream &os)
-{
-    const unsigned P = workload.numThreads();
-    os << traceMagic << "\n";
-    os << "threads " << P << "\n";
-
-    std::vector<Generator<MemRef>> gens;
-    gens.reserve(P);
-    for (unsigned t = 0; t < P; ++t)
-        gens.push_back(workload.thread(t));
-
-    std::vector<bool> done(P, false);
-    std::vector<int> parkedAt(P, -1);
-    unsigned live = P;
-    std::uint64_t events = 0;
-
-    while (live > 0) {
-        bool progressed = false;
-        for (unsigned t = 0; t < P; ++t) {
-            if (done[t] || parkedAt[t] >= 0)
-                continue;
-            auto ref = gens[t].next();
-            progressed = true;
-            if (!ref) {
-                done[t] = true;
-                --live;
-                continue;
-            }
-            ++events;
-            os << t << " " << kindChar(*ref);
-            switch (ref->kind) {
-              case MemRef::Kind::Mem:
-                os << " " << ref->vaddr << " " << ref->work;
-                break;
-              case MemRef::Kind::Barrier:
-              case MemRef::Kind::LockAcquire:
-              case MemRef::Kind::LockRelease:
-                os << " " << ref->syncId;
-                break;
-            }
-            os << "\n";
-
-            if (ref->kind == MemRef::Kind::Barrier) {
-                parkedAt[t] = static_cast<int>(ref->syncId);
-                unsigned waiting = 0;
-                for (unsigned u = 0; u < P; ++u) {
-                    if (!done[u] && parkedAt[u] == parkedAt[t])
-                        ++waiting;
-                }
-                if (waiting == live) {
-                    for (unsigned u = 0; u < P; ++u)
-                        parkedAt[u] = -1;
-                }
-            }
-        }
-        if (!progressed && live > 0)
-            panic("recordTrace: barrier deadlock in workload '",
-                  workload.name(), "'");
-    }
-    return events;
-}
-
-TraceWorkload::TraceWorkload(std::istream &is, std::string name)
-    : name_(std::move(name))
+TextTrace
+parseTextTrace(std::istream &is)
 {
     // Parse line-by-line so every diagnostic can carry a line number,
     // and so garbage between or after events is an error rather than a
@@ -150,14 +71,15 @@ TraceWorkload::TraceWorkload(std::istream &is, std::string name)
         if (f.size() > 2)
             fatal("trace line ", lineNo, ": trailing garbage '", f[2],
                   "' after thread count");
-        // Checked before perThread_ grows: a hostile header must not
+        // Checked before the streams grow: a hostile header must not
         // allocate billions of streams.
         if (*n > maxNodes)
             fatal("trace line ", lineNo, ": ", *n,
                   " threads exceed the machine's ", maxNodes, " nodes");
         threads = *n;
     }
-    perThread_.resize(threads);
+    TextTrace trace;
+    trace.streams.resize(threads);
 
     VAddr lo = std::numeric_limits<VAddr>::max();
     VAddr hi = 0;
@@ -227,45 +149,14 @@ TraceWorkload::TraceWorkload(std::istream &is, std::string name)
                                              : MemRef::Kind::LockRelease,
                                *id, 0);
         }
-        perThread_[*tid].push_back(ref);
+        trace.streams[*tid].push_back(ref);
     }
 
-    // One synthetic segment spanning every touched address, so
-    // footprint reporting and bounds checks keep working.
     if (hi > lo) {
-        space_ = AddressSpace(lo);
-        space_.alloc("trace.data", hi - lo, 1);
+        trace.lo = lo;
+        trace.hi = hi;
     }
-}
-
-std::string
-TraceWorkload::parameters() const
-{
-    std::uint64_t events = 0;
-    for (const auto &v : perThread_)
-        events += v.size();
-    return std::to_string(events) + " events, " +
-           std::to_string(perThread_.size()) + " threads";
-}
-
-unsigned
-TraceWorkload::numThreads() const
-{
-    return static_cast<unsigned>(perThread_.size());
-}
-
-std::span<const MemRef>
-TraceWorkload::stream(unsigned tid)
-{
-    if (tid >= perThread_.size())
-        fatal("trace replay: no thread ", tid);
-    return perThread_[tid];
-}
-
-Generator<MemRef>
-TraceWorkload::thread(unsigned tid)
-{
-    return replayStream(stream(tid));
+    return trace;
 }
 
 } // namespace vcoma

@@ -1,11 +1,7 @@
 /**
  * @file
- * Reference-trace recording and replay.
- *
- * The workload kernels are execution-driven, but a recorded trace is
- * often more convenient: it can be inspected, diffed, archived, or
- * replayed against many machine configurations without re-running the
- * algorithm. The text format is one event per line:
+ * The text trace grammar: a human-readable spelling of per-thread
+ * reference streams, one event per line:
  *
  *     vcoma-trace-v1
  *     threads <N>
@@ -16,64 +12,48 @@
  *     <tid> U <id>                lock release
  *
  * Events of one thread appear in program order; threads may be
- * interleaved arbitrarily (the recorder interleaves them the way a
- * barrier-aware round-robin scheduler would). Addresses are decimal
- * or 0x-prefixed hex (never octal); blank lines and lines starting
- * with '#' are ignored, so hand-written and tool-exported traces can
- * carry comments.
+ * interleaved arbitrarily. Addresses are decimal or 0x-prefixed hex
+ * (never octal); blank lines and lines starting with '#' are
+ * ignored, so hand-written and tool-exported traces can carry
+ * comments.
+ *
+ * Text is an interchange format, never a replay path: `vcoma_trace
+ * convert` (sim/trace_convert.hh) packs it for ReplayWorkload, and
+ * `vcoma_trace dump` spells a packed trace back out.
  */
 
 #ifndef VCOMA_SIM_TRACE_HH
 #define VCOMA_SIM_TRACE_HH
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
+#include "common/types.hh"
 #include "sim/memref.hh"
-#include "workloads/workload.hh"
 
 namespace vcoma
 {
 
-/**
- * Drain @p workload with a barrier-aware round-robin interleaver and
- * write its trace to @p os.
- * @return total events recorded.
- */
-std::uint64_t recordTrace(Workload &workload, std::ostream &os);
-
-/**
- * A workload that replays a previously recorded text trace. The
- * parsed per-thread events are served as materialised streams, so a
- * text replay takes the same Machine::run path as a packed one.
- */
-class TraceWorkload : public Workload
+/** A parsed text trace. */
+struct TextTrace
 {
-  public:
+    /** Each thread's events in program order, indexed by tid. */
+    std::vector<std::vector<MemRef>> streams;
     /**
-     * Parse a trace from @p is; fatal() on malformed input, including
-     * a negative or out-of-range number and an address whose 8-byte
-     * access would wrap past 2^64.
+     * Footprint: the lowest touched address and one past the last
+     * byte of the highest 8-byte access; lo == hi when the trace
+     * touches no memory.
      */
-    explicit TraceWorkload(std::istream &is, std::string name = "TRACE");
-
-    std::string name() const override { return name_; }
-    std::string parameters() const override;
-    unsigned numThreads() const override;
-    const AddressSpace &space() const override { return space_; }
-
-    bool materialised() const override { return true; }
-    std::span<const MemRef> stream(unsigned tid) override;
-
-    /** Coroutine view of the same stream (recordTrace() and tools). */
-    Generator<MemRef> thread(unsigned tid) override;
-
-  private:
-    std::string name_;
-    AddressSpace space_;
-    std::vector<std::vector<MemRef>> perThread_;
+    VAddr lo = 0;
+    VAddr hi = 0;
 };
+
+/**
+ * Parse a text trace from @p is; fatal() with the offending line
+ * number on malformed input, including a negative or out-of-range
+ * number and an address whose 8-byte access would wrap past 2^64.
+ */
+TextTrace parseTextTrace(std::istream &is);
 
 } // namespace vcoma
 

@@ -33,19 +33,19 @@ convertTextTraceToPacked(std::istream &in, const std::string &outPath,
                          const std::string &name,
                          const std::string &key)
 {
-    // The text parser owns the grammar (and its line-numbered
-    // diagnostics); the workload it yields carries the per-thread
-    // streams and the footprint of every touched address.
-    TraceWorkload text(in, name);
-    PackedTraceWriter writer(outPath, text.numThreads(), key,
-                             text.name(), text.parameters(),
-                             text.sharedBytes());
+    // The parser owns the grammar and its line-numbered diagnostics.
+    const TextTrace text = parseTextTrace(in);
+    const unsigned threads = static_cast<unsigned>(text.streams.size());
     std::uint64_t events = 0;
-    for (unsigned t = 0; t < text.numThreads(); ++t) {
-        for (const MemRef &ref : text.stream(t)) {
+    for (const auto &stream : text.streams)
+        events += stream.size();
+    PackedTraceWriter writer(outPath, threads, key, name,
+                             std::to_string(events) + " events, " +
+                                 std::to_string(threads) + " threads",
+                             text.hi - text.lo);
+    for (unsigned t = 0; t < threads; ++t) {
+        for (const MemRef &ref : text.streams[t])
             writer.append(t, ref);
-            ++events;
-        }
     }
     std::string error;
     if (!writer.finalize(&error))

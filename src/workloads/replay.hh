@@ -1,14 +1,17 @@
 /**
  * @file
- * Record/replay Workloads over the packed memref trace format.
+ * Record/replay Workloads over the packed memref trace format: the
+ * one recorder and the one replayer.
  *
  * RecordingWorkload tees each per-thread Generator<MemRef> stream of
- * a live workload to a PackedTraceWriter while the simulation runs —
- * the recorded per-thread streams are exactly what the kernel
- * consumed. ReplayWorkload maps a finished trace back in and serves
- * the streams as materialised arrays, so a replaying Machine::run
- * skips both the workload algorithm and the coroutine machinery: the
- * hot loop walks an mmapped MemRef array with software prefetch.
+ * a live workload to a PackedTraceWriter while the simulation runs.
+ * Lock grants and barriers decide what each thread yields, so only
+ * the streams one Machine::run consumed describe that run; the
+ * recorder keeps exactly those. ReplayWorkload (a "TRACE:<path>"
+ * workload) maps a finished trace back in and serves the streams as
+ * materialised arrays, so a replaying Machine::run skips both the
+ * workload algorithm and the coroutine machinery: the hot loop walks
+ * an mmapped MemRef array with software prefetch.
  */
 
 #ifndef VCOMA_WORKLOADS_REPLAY_HH
@@ -48,7 +51,7 @@ class ReplayWorkload : public Workload
         return trace_.stream(tid);
     }
 
-    /** Coroutine view of the same stream (recordTrace() and tools). */
+    /** Coroutine view of the same stream (the generic interface). */
     Generator<MemRef> thread(unsigned tid) override;
 
     /** Experiment cache key the trace was recorded under. */
@@ -89,8 +92,9 @@ class RecordingWorkload : public Workload
     Generator<MemRef> thread(unsigned tid) override;
 
     /**
-     * Publish the recorded trace. @return false (and warns) on I/O
-     * trouble — recording is an optimisation, never a run failure.
+     * Publish the recorded trace. @return false (and warns with the
+     * reason) when a thread never ran or on I/O trouble; no file is
+     * left at the trace path then.
      */
     bool finalize();
 

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "checkers.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "harness/runner.hh"
@@ -290,18 +291,8 @@ TEST(DatacenterRunner, TraceWorkloadRoundTripsThroughRunAll)
     cfg.nodes = 32;
     cfg.scale = 0.02;
     const std::string trace = (dir.path / "kv.vctrace").string();
-    std::string liveJson;
-    {
-        ::setenv("VCOMA_TRACE_DIR", dir.path.string().c_str(), 1);
-        Runner runner("");
-        liveJson = statsJson(runner.run(cfg));
-        ::unsetenv("VCOMA_TRACE_DIR");
-    }
-    // The recorded trace sits under the config's key.
-    const std::string recorded =
-        (dir.path / (cfg.key() + ".vctrace")).string();
-    ASSERT_TRUE(std::filesystem::exists(recorded));
-    std::filesystem::rename(recorded, trace);
+    const std::string liveJson = statsJson(recordExperiment(cfg, trace));
+    ASSERT_TRUE(std::filesystem::exists(trace));
 
     ExperimentConfig traceCfg = cfg;
     traceCfg.workload = "TRACE:" + trace;

@@ -35,9 +35,10 @@
 #include <string>
 #include <string_view>
 
+#include "checkers.hh"
 #include "sim/machine.hh"
 #include "sim/run_stats_json.hh"
-#include "sim/trace.hh"
+#include "sim/trace_convert.hh"
 #include "translation/scheme.hh"
 #include "translation/system_builder.hh"
 #include "workloads/replay.hh"
@@ -335,30 +336,39 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
 {
-    // Record a trace once, then replay it twice — filter on and off
-    // (checkLevel 2) — and require identical stats sheets. The replay
-    // goes through TraceWorkload's parser, so this also round-trips
-    // the trace text format; its streams are materialised, so the
-    // default run also covers the replay cursor on text traces.
+    // Record a live run, spell its trace as text and convert it back,
+    // then replay it twice — filter on and off (checkLevel 2) — and
+    // require identical stats sheets with the live run's timing. This
+    // round-trips the text format on a recorded trace; its streams
+    // are materialised, so the default run also covers the replay
+    // cursor.
     WorkloadParams p;
     p.threads = 4;
     p.scale = 0.02;
-    auto recorded = makeWorkload("HOTSPOT", p);
-    std::ostringstream trace;
-    const std::uint64_t events = recordTrace(*recorded, trace);
-    ASSERT_GT(events, 0u);
+    auto live = makeWorkload("HOTSPOT", p);
+    const std::string packed =
+        (std::filesystem::temp_directory_path() /
+         ("vcoma_test_roundtrip_" + std::to_string(::getpid()) +
+          ".vctrace"))
+            .string();
+    RecordingWorkload recorder(*live, packed, "fastpath-test");
+    const RunResult recorded = sheet(testConfig(Scheme::VCOMA, 4), recorder);
+    ASSERT_TRUE(recorder.finalize());
+    std::ostringstream text;
+    dumpPackedTraceAsText(packed, text);
+    std::filesystem::remove(packed);
 
     auto replayOnce = [&](unsigned checkLevel) {
-        std::istringstream is(trace.str());
-        TraceWorkload w(is);
-        EXPECT_TRUE(w.materialised());
-        return sheet(testConfig(Scheme::VCOMA, 4, true, checkLevel), w);
+        const auto w = replayText(text.str());
+        EXPECT_TRUE(w->materialised());
+        return sheet(testConfig(Scheme::VCOMA, 4, true, checkLevel), *w);
     };
     const RunResult fast = replayOnce(1);
     const RunResult deep = replayOnce(deepCheck);
     expectSameStats(fast.stats, deep.stats);
     EXPECT_EQ(fast.json, deep.json);
     EXPECT_EQ(fast.dump, deep.dump);
+    EXPECT_EQ(fast.stats.execTime, recorded.stats.execTime);
 }
 
 TEST(FastPathTrace, PackedReplayAt32NodesIsIdentical)
@@ -421,9 +431,7 @@ TEST(FastPathTrace, DrainYieldsTickTiesToLowerCpu)
         cfg.busyScale = 1;
         cfg.timing.flcHit = 0;
         cfg.timing.lockTransfer = lockTransfer;
-        std::istringstream is(trace.str());
-        TraceWorkload w(is);
-        return sheet(cfg, w);
+        return sheet(cfg, *replayText(trace.str()));
     };
     const RunResult fast = replayOnce(1);
     const RunResult deep = replayOnce(deepCheck);
@@ -530,9 +538,8 @@ TEST(FastPathSlcRead, FlcMissSlcHitRetiresInTheFilter)
               << "0 R 0x1000 0\n0 R 0x1020 5\n0 R 0x1020 5\n"
               << "1 R 0x1000 0\n1 R 0x1020 5\n";
         auto replayOnce = [&](unsigned checkLevel) {
-            std::istringstream is(trace.str());
-            TraceWorkload w(is);
-            return sheet(testConfig(scheme, 4, true, checkLevel), w);
+            return sheet(testConfig(scheme, 4, true, checkLevel),
+                         *replayText(trace.str()));
         };
         const RunResult on = replayOnce(1);
         const RunResult off = replayOnce(deepCheck);

@@ -234,6 +234,24 @@ TEST(MemRefPack, AbandonedWriterPublishesNothing)
     EXPECT_TRUE(std::filesystem::is_empty(dir.path));
 }
 
+TEST(MemRefPack, UnwritablePathFailsWithoutPublishing)
+{
+    // The staging file cannot be created: appends past a staging
+    // chunk must still be safe, and finalize() reports the failure.
+    TempDir dir;
+    const std::string path = (dir.path / "no/such/dir/x.vctrace").string();
+    PackedTraceWriter writer(path, 2, "k", "N", "p", 0);
+    for (int i = 0; i < 20000; ++i)  // several staging chunks per tid
+        writer.append(i % 2, MemRef::read(i * 64, 1));
+    EXPECT_EQ(writer.totalEvents(), 20000u);
+    std::string error;
+    EXPECT_FALSE(writer.finalize(&error));
+    EXPECT_NE(error.find("no/such/dir/x.vctrace"), std::string::npos)
+        << error;
+    EXPECT_FALSE(writer.finalized());
+    EXPECT_TRUE(std::filesystem::is_empty(dir.path));
+}
+
 TEST(MemRefPack, FinalizeTwiceFails)
 {
     TempDir dir;

@@ -7,10 +7,9 @@
  * on (the default) and off (checkLevel 2). Replay is a speed knob,
  * never a model knob.
  *
- * Also covers the Runner integration ($VCOMA_TRACE_DIR): the first
- * execution records, later executions replay, and an unusable trace
- * falls back to live generation and re-records instead of crashing or
- * silently replaying garbage.
+ * Also covers the Runner integration: a "TRACE:<path>" config replays
+ * the recorded run's sheet byte for byte, and an unusable trace fails
+ * its own config, never the sweep, and never replays garbage.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +24,9 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "checkers.hh"
 #include "harness/runner.hh"
 #include "sim/machine.hh"
 #include "sim/memref_pack.hh"
@@ -55,34 +56,6 @@ struct TempDir
     }
     ~TempDir() { std::filesystem::remove_all(path); }
     std::filesystem::path path;
-};
-
-/** Scoped setenv/unsetenv that restores the previous value. */
-struct EnvGuard
-{
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name))
-            saved_ = old;
-        else
-            wasSet_ = false;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~EnvGuard()
-    {
-        if (wasSet_)
-            ::setenv(name_, saved_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-    const char *name_;
-    std::string saved_;
-    bool wasSet_ = true;
 };
 
 struct RunResult
@@ -212,8 +185,8 @@ TEST(Replay, CarriesRecordedWorkloadIdentity)
 
 TEST(Replay, CoroutineViewMatchesMaterialisedStreams)
 {
-    // thread(tid) and stream(tid) must expose the same events: tools
-    // (recordTrace, the trace dumper) use the coroutine view while
+    // thread(tid) and stream(tid) must expose the same events: the
+    // generic Workload interface hands out the coroutine view while
     // Machine::run consumes the spans.
     TempDir dir;
     const std::string trace = (dir.path / "views.vctrace").string();
@@ -265,44 +238,19 @@ statsJson(const RunStats &stats)
 
 } // namespace
 
-TEST(RunnerReplay, FirstRunRecordsLaterRunsReplayIdentically)
-{
-    TempDir traces;
-    EnvGuard traceDir("VCOMA_TRACE_DIR", traces.path.string().c_str());
-    EnvGuard traceMax("VCOMA_TRACE_MAX_MB", nullptr);
-    const ExperimentConfig cfg = tinyExperiment();
-    const std::string tracePath =
-        (traces.path / (cfg.key() + ".vctrace")).string();
-
-    // No disk cache: each fresh Runner must actually simulate, which
-    // is exactly what makes the second one replay.
-    std::string first;
-    {
-        Runner runner("");
-        first = statsJson(runner.run(cfg));
-        EXPECT_EQ(runner.executed(), 1u);
-    }
-    EXPECT_TRUE(std::filesystem::exists(tracePath))
-        << "first execution must record its trace";
-    {
-        Runner runner("");
-        EXPECT_EQ(statsJson(runner.run(cfg)), first)
-            << "replayed execution diverged from the live run";
-        EXPECT_EQ(runner.executed(), 1u);
-    }
-}
-
 TEST(RunnerReplay, ReplayedRunWritesByteIdenticalCacheEntries)
 {
-    // The disk-cache entry a replayed execution stores must be byte
-    // for byte the file the live execution would have written: the
-    // cache cannot tell (and must not care) which mode produced it.
+    // The disk-cache entry a TRACE: replay stores (under its own key)
+    // must be byte for byte the entry the live run wrote: the cache
+    // cannot tell (and must not care) which mode produced it.
     TempDir traces;
     TempDir liveCache;
     TempDir replayCache;
-    EnvGuard traceDir("VCOMA_TRACE_DIR", traces.path.string().c_str());
-    EnvGuard traceMax("VCOMA_TRACE_MAX_MB", nullptr);
     const ExperimentConfig cfg = tinyExperiment();
+    const std::string tracePath = (traces.path / "run.vctrace").string();
+    recordExperiment(cfg, tracePath);
+    ExperimentConfig replayCfg = cfg;
+    replayCfg.workload = "TRACE:" + tracePath;
 
     {
         Runner runner(liveCache.path.string());
@@ -311,67 +259,115 @@ TEST(RunnerReplay, ReplayedRunWritesByteIdenticalCacheEntries)
     }
     {
         Runner runner(replayCache.path.string());
-        runner.run(cfg);
+        runner.run(replayCfg);
         EXPECT_EQ(runner.executed(), 1u) << "fresh cache must simulate";
     }
-    const std::filesystem::path entry =
-        std::filesystem::path(cfg.key() + ".json");
     const auto readAll = [](const std::filesystem::path &p) {
         std::ifstream in(p, std::ios::binary);
         return std::string(std::istreambuf_iterator<char>(in),
                            std::istreambuf_iterator<char>());
     };
-    const std::string live = readAll(liveCache.path / entry);
-    const std::string replayed = readAll(replayCache.path / entry);
+    const std::string live = readAll(liveCache.path / (cfg.key() + ".json"));
+    const std::string replayed =
+        readAll(replayCache.path / (replayCfg.key() + ".json"));
     ASSERT_FALSE(live.empty());
     EXPECT_EQ(replayed, live)
         << "replayed run's cache entry differs from the live run's";
 }
 
+TEST(RunnerReplay, TraceWorkloadSpellingMatchesTheRecordedRun)
+{
+    // A recorded trace promoted to a first-class workload
+    // ("TRACE:<path>") must reproduce the recorded run's sheet byte
+    // for byte: the trace header carries the original workload's
+    // name/parameters, so even the labelling is identical.
+    TempDir traces;
+    const ExperimentConfig cfg = tinyExperiment();
+    const std::string tracePath = (traces.path / "run.vctrace").string();
+    const std::string first = statsJson(recordExperiment(cfg, tracePath));
+    ASSERT_TRUE(std::filesystem::exists(tracePath));
+
+    ExperimentConfig replayCfg = cfg;
+    replayCfg.workload = "TRACE:" + tracePath;
+    Runner runner("");
+    EXPECT_EQ(statsJson(runner.run(replayCfg)), first)
+        << "TRACE: workload diverged from the run that recorded it";
+    EXPECT_EQ(runner.executed(), 1u);
+    // And the recording run is the Runner's own live run.
+    EXPECT_EQ(statsJson(runner.run(cfg)), first);
+}
+
+namespace
+{
+
+/**
+ * Run a batch of a TRACE: config naming @p badTrace and the live
+ * @p cfg: the TRACE: config must fail with an error naming the file,
+ * and the live config must still run to the sheet @p expected.
+ */
+void
+expectUnusableTraceFailsOnlyItsConfig(const ExperimentConfig &cfg,
+                                      const std::filesystem::path &badTrace,
+                                      const std::string &expected)
+{
+    ExperimentConfig bad = cfg;
+    bad.workload = "TRACE:" + badTrace.string();
+    const std::vector<ExperimentConfig> batch{bad, cfg};
+    Runner runner("");
+    const auto results = runner.runAll(batch);
+    EXPECT_EQ(results[0], nullptr) << bad.workload;
+    const std::string error = runner.failureMessage(bad.key());
+    EXPECT_NE(error.find(badTrace.string()), std::string::npos) << error;
+    ASSERT_NE(results[1], nullptr);
+    EXPECT_EQ(statsJson(*results[1]), expected)
+        << "live run diverged next to an unusable trace";
+}
+
+/**
+ * Record @p cfg over the unusable @p tracePath: the result must be a
+ * valid trace that replays to the sheet @p expected.
+ */
+void
+expectReRecordingReplays(const ExperimentConfig &cfg,
+                         const std::string &tracePath,
+                         const std::string &expected)
+{
+    EXPECT_EQ(statsJson(recordExperiment(cfg, tracePath)), expected);
+    EXPECT_NO_THROW(PackedTrace{tracePath})
+        << "re-recording must leave a valid version "
+        << packedTraceVersion << " trace";
+    ExperimentConfig replayCfg = cfg;
+    replayCfg.workload = "TRACE:" + tracePath;
+    Runner runner("");
+    EXPECT_EQ(statsJson(runner.run(replayCfg)), expected);
+}
+
+} // namespace
+
 TEST(RunnerReplay, CorruptTraceFallsBackAndReRecords)
 {
+    // A corrupt trace fails its own TRACE: config, never the batch and
+    // never replays garbage; recording over it restores replay.
     TempDir traces;
-    EnvGuard traceDir("VCOMA_TRACE_DIR", traces.path.string().c_str());
-    EnvGuard traceMax("VCOMA_TRACE_MAX_MB", nullptr);
     const ExperimentConfig cfg = tinyExperiment();
-    const std::string tracePath =
-        (traces.path / (cfg.key() + ".vctrace")).string();
-
-    std::string first;
-    {
-        Runner runner("");
-        first = statsJson(runner.run(cfg));
-    }
-    ASSERT_TRUE(std::filesystem::exists(tracePath));
-    // Clobber the trace: the next run must not crash, must not
-    // replay garbage, and must leave a valid re-recorded trace.
+    const std::string tracePath = (traces.path / "run.vctrace").string();
+    const std::string first = statsJson(recordExperiment(cfg, tracePath));
     std::ofstream(tracePath, std::ios::binary | std::ios::trunc)
         << "not a trace";
-    {
-        Runner runner("");
-        EXPECT_EQ(statsJson(runner.run(cfg)), first)
-            << "fallback run diverged from the original";
-    }
-    EXPECT_NO_THROW(PackedTrace{tracePath})
-        << "fallback must re-record a valid trace";
+    EXPECT_THROW(PackedTrace{tracePath}, TraceFormatError);
+
+    expectUnusableTraceFailsOnlyItsConfig(cfg, tracePath, first);
+    expectReRecordingReplays(cfg, tracePath, first);
 }
 
 TEST(RunnerReplay, OlderVersionTraceIsReRecorded)
 {
-    // A trace-dir entry from before the 16-byte records (version 3)
-    // is rejected on load and recorded afresh in the current format.
+    // A trace from before the 16-byte records (version 3) is rejected
+    // on load; recording afresh writes the current format.
     TempDir traces;
-    EnvGuard traceDir("VCOMA_TRACE_DIR", traces.path.string().c_str());
-    EnvGuard traceMax("VCOMA_TRACE_MAX_MB", nullptr);
     const ExperimentConfig cfg = tinyExperiment();
-    const std::string tracePath =
-        (traces.path / (cfg.key() + ".vctrace")).string();
-
-    std::string first;
-    {
-        Runner runner("");
-        first = statsJson(runner.run(cfg));
-    }
+    const std::string tracePath = (traces.path / "run.vctrace").string();
+    const std::string first = statsJson(recordExperiment(cfg, tracePath));
     {
         std::fstream f(tracePath,
                        std::ios::binary | std::ios::in | std::ios::out);
@@ -379,123 +375,22 @@ TEST(RunnerReplay, OlderVersionTraceIsReRecorded)
         f.put(3);
     }
     EXPECT_THROW(PackedTrace{tracePath}, TraceFormatError);
-    {
-        Runner runner("");
-        EXPECT_EQ(statsJson(runner.run(cfg)), first);
-    }
-    EXPECT_NO_THROW(PackedTrace{tracePath})
-        << "the fallback run must re-record the trace as version "
-        << packedTraceVersion;
+
+    expectUnusableTraceFailsOnlyItsConfig(cfg, tracePath, first);
+    expectReRecordingReplays(cfg, tracePath, first);
 }
 
 TEST(RunnerReplay, TruncatedTraceFallsBack)
 {
+    // A trace cut short fails its TRACE: config; the live run of the
+    // same experiment in the batch is unaffected.
     TempDir traces;
-    EnvGuard traceDir("VCOMA_TRACE_DIR", traces.path.string().c_str());
-    EnvGuard traceMax("VCOMA_TRACE_MAX_MB", nullptr);
     const ExperimentConfig cfg = tinyExperiment();
-    const std::string tracePath =
-        (traces.path / (cfg.key() + ".vctrace")).string();
-
-    std::string first;
-    {
-        Runner runner("");
-        first = statsJson(runner.run(cfg));
-    }
-    ASSERT_TRUE(std::filesystem::exists(tracePath));
+    const std::string tracePath = (traces.path / "run.vctrace").string();
+    const std::string first = statsJson(recordExperiment(cfg, tracePath));
     std::filesystem::resize_file(
         tracePath, std::filesystem::file_size(tracePath) / 2);
-    Runner runner("");
-    EXPECT_EQ(statsJson(runner.run(cfg)), first);
-}
+    EXPECT_THROW(PackedTrace{tracePath}, TraceFormatError);
 
-TEST(RunnerReplay, TraceWorkloadSpellingMatchesTheRecordedRun)
-{
-    // An external trace promoted to a first-class workload
-    // ("TRACE:<path>") must reproduce the recorded run's sheet byte
-    // for byte: the trace header carries the original workload's
-    // name/parameters, so even the labelling is identical.
-    TempDir traces;
-    std::string first;
-    std::string tracePath;
-    {
-        EnvGuard traceDir("VCOMA_TRACE_DIR",
-                          traces.path.string().c_str());
-        EnvGuard traceMax("VCOMA_TRACE_MAX_MB", nullptr);
-        Runner runner("");
-        const ExperimentConfig cfg = tinyExperiment();
-        first = statsJson(runner.run(cfg));
-        tracePath = (traces.path / (cfg.key() + ".vctrace")).string();
-    }
-    ASSERT_TRUE(std::filesystem::exists(tracePath));
-
-    // Replay through the TRACE: spelling, with no trace dir in play.
-    ExperimentConfig replayCfg = tinyExperiment();
-    replayCfg.workload = "TRACE:" + tracePath;
-    Runner runner("");
-    EXPECT_EQ(statsJson(runner.run(replayCfg)), first)
-        << "TRACE: workload diverged from the run that recorded it";
-    EXPECT_EQ(runner.executed(), 1u);
-}
-
-TEST(RunnerReplay, TraceWorkloadsBypassTheRecordReplayDir)
-{
-    // With VCOMA_TRACE_DIR set, a TRACE: workload must neither look
-    // for a recorded trace under its own key nor re-record one —
-    // recording a replay is circular and its key could never match.
-    TempDir traces;
-    std::string tracePath;
-    std::string first;
-    {
-        EnvGuard traceDir("VCOMA_TRACE_DIR",
-                          traces.path.string().c_str());
-        EnvGuard traceMax("VCOMA_TRACE_MAX_MB", nullptr);
-        const ExperimentConfig cfg = tinyExperiment();
-        {
-            Runner runner("");
-            first = statsJson(runner.run(cfg));
-        }
-        tracePath = (traces.path / (cfg.key() + ".vctrace")).string();
-        ASSERT_TRUE(std::filesystem::exists(tracePath));
-
-        ExperimentConfig replayCfg = tinyExperiment();
-        replayCfg.workload = "TRACE:" + tracePath;
-        Runner runner("");
-        EXPECT_EQ(statsJson(runner.run(replayCfg)), first);
-    }
-    unsigned traceFiles = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(traces.path)) {
-        if (entry.path().extension() == ".vctrace")
-            ++traceFiles;
-    }
-    EXPECT_EQ(traceFiles, 1u)
-        << "the TRACE: run must not add traces to the record dir";
-}
-
-TEST(RunnerReplay, KeyMismatchedTraceIsRegenerated)
-{
-    // A trace recorded under some other config (say, after a rename
-    // or a copied directory) must never be replayed for this one.
-    TempDir traces;
-    EnvGuard traceDir("VCOMA_TRACE_DIR", traces.path.string().c_str());
-    EnvGuard traceMax("VCOMA_TRACE_MAX_MB", nullptr);
-    const ExperimentConfig uniform = tinyExperiment();
-    ExperimentConfig stride = tinyExperiment();
-    stride.workload = "STRIDE";
-
-    std::string strideJson;
-    {
-        Runner runner("");
-        runner.run(uniform);
-        strideJson = statsJson(runner.run(stride));
-    }
-    // Plant UNIFORM's trace at STRIDE's path.
-    std::filesystem::copy_file(
-        traces.path / (uniform.key() + ".vctrace"),
-        traces.path / (stride.key() + ".vctrace"),
-        std::filesystem::copy_options::overwrite_existing);
-    Runner runner("");
-    EXPECT_EQ(statsJson(runner.run(stride)), strideJson)
-        << "a key-mismatched trace must be regenerated, not replayed";
+    expectUnusableTraceFailsOnlyItsConfig(cfg, tracePath, first);
 }

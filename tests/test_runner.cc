@@ -703,54 +703,6 @@ TEST(Runner, PruneCacheMtimeStillBeatsName)
     EXPECT_TRUE(std::filesystem::exists(tmp.path / "a_new.json"));
 }
 
-TEST(Runner, PruneTracesOnlyTouchesTraceFiles)
-{
-    // The trace dir shares the pruning policy but its own extension:
-    // *.vctrace files are fair game, anything else is not.
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path);
-    plantCacheFile(tmp.path / "old.vctrace", 5000, 3);
-    plantCacheFile(tmp.path / "new.vctrace", 5000, 1);
-    plantCacheFile(tmp.path / "entry.json", 100, 9);
-    plantCacheFile(tmp.path / "trace.vctrace.tmp.1234", 100, 9);
-
-    EXPECT_EQ(Runner::pruneTraces(tmp.path.string(), 5000), 1u);
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "old.vctrace"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "new.vctrace"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "entry.json"));
-    EXPECT_TRUE(std::filesystem::exists(
-        tmp.path / "trace.vctrace.tmp.1234"));
-}
-
-TEST(Runner, PruneTracesBreaksEqualMtimesByName)
-{
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path);
-    const auto stamp = std::filesystem::file_time_type::clock::now() -
-                       std::chrono::hours(1);
-    for (const char *name : {"beta.vctrace", "alpha.vctrace"}) {
-        plantCacheFile(tmp.path / name, 1000, 1);
-        std::filesystem::last_write_time(tmp.path / name, stamp);
-    }
-    EXPECT_EQ(Runner::pruneTraces(tmp.path.string(), 1000), 1u);
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "alpha.vctrace"));
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "beta.vctrace"));
-}
-
-TEST(Runner, ConstructionPrunesAnOversizedTraceDir)
-{
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path);
-    plantCacheFile(tmp.path / "old.vctrace", 700 * 1024, 2);
-    plantCacheFile(tmp.path / "new.vctrace", 700 * 1024, 1);
-
-    EnvGuard dir("VCOMA_TRACE_DIR", tmp.path.string().c_str());
-    EnvGuard budget("VCOMA_TRACE_MAX_MB", "1");
-    Runner runner("");
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "old.vctrace"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "new.vctrace"));
-}
-
 TEST(Runner, EnvCacheMaxBytesParsesStrictly)
 {
     constexpr std::uint64_t mib = 1024 * 1024;

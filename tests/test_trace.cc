@@ -1,12 +1,25 @@
-/** @file Tests for trace recording and replay. */
+/**
+ * @file
+ * Tests for the text trace grammar: recorded runs spelled as text
+ * (`vcoma_trace dump`) parse back to the recorded streams and replay
+ * through the packed path, and malformed text fails closed with a
+ * line-numbered diagnostic.
+ */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
 #include <sstream>
 
+#include "checkers.hh"
 #include "sim/machine.hh"
 #include "sim/trace.hh"
+#include "sim/trace_convert.hh"
 #include "translation/system_builder.hh"
+#include "workloads/replay.hh"
 #include "workloads/workload.hh"
 
 using namespace vcoma;
@@ -24,58 +37,71 @@ params4()
     return p;
 }
 
+/**
+ * Run @p workload on a 4-node machine through RecordingWorkload and
+ * return the recorded trace as `vcoma_trace dump` spells it; the
+ * live run's sheet goes to @p live when given.
+ */
+std::string
+recordedText(const std::string &workload, RunStats *live = nullptr)
+{
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("vcoma_test_trace_" + std::to_string(::getpid()) + ".vctrace");
+    auto w = makeWorkload(workload, params4());
+    RecordingWorkload recording(*w, path.string(), "trace-test");
+    Machine m(tinyConfig(Scheme::VCOMA));
+    const RunStats stats = m.run(recording);
+    EXPECT_TRUE(recording.finalize());
+    if (live)
+        *live = stats;
+    std::ostringstream os;
+    dumpPackedTraceAsText(path.string(), os);
+    std::filesystem::remove(path);
+    return os.str();
+}
+
+TextTrace
+parse(const std::string &text)
+{
+    std::istringstream is(text);
+    return parseTextTrace(is);
+}
+
 } // namespace
 
 TEST(Trace, RecordProducesHeaderAndEvents)
 {
-    auto w = makeWorkload("STRIDE", params4());
-    std::ostringstream os;
-    const std::uint64_t events = recordTrace(*w, os);
-    EXPECT_GT(events, 0u);
-    const std::string text = os.str();
+    const std::string text = recordedText("STRIDE");
     EXPECT_EQ(text.rfind("vcoma-trace-v1\nthreads 4\n", 0), 0u);
+    EXPECT_GT(std::count(text.begin(), text.end(), '\n'), 2);
 }
 
 TEST(Trace, RoundTripPreservesPerThreadStreams)
 {
-    auto w1 = makeWorkload("STRIDE", params4());
-    std::ostringstream os;
-    recordTrace(*w1, os);
-    std::istringstream is(os.str());
-    TraceWorkload replay(is);
-
-    ASSERT_EQ(replay.numThreads(), 4u);
+    const TextTrace replay = parse(recordedText("STRIDE"));
+    ASSERT_EQ(replay.streams.size(), 4u);
     // Replay thread streams must equal the original workload's.
     auto w2 = makeWorkload("STRIDE", params4());
     for (unsigned t = 0; t < 4; ++t) {
         auto gen = w2->thread(t);
         std::size_t i = 0;
         while (auto ref = gen.next()) {
-            ASSERT_LT(i, replay.stream(t).size()) << "thread " << t;
-            EXPECT_EQ(replay.stream(t)[i++], *ref);
+            ASSERT_LT(i, replay.streams[t].size()) << "thread " << t;
+            EXPECT_EQ(replay.streams[t][i++], *ref);
         }
-        EXPECT_EQ(i, replay.stream(t).size());
+        EXPECT_EQ(i, replay.streams[t].size());
     }
 }
 
 TEST(Trace, ReplayRunsIdenticallyToOriginal)
 {
-    // Barrier-phased, lock-free kernels replay with identical timing.
+    // Text and back through the packed path: the same timing. Only
+    // the labels (name, parameters, footprint) are the text's own.
     RunStats original;
-    {
-        Machine m(tinyConfig(Scheme::VCOMA));
-        auto w = makeWorkload("STRIDE", params4());
-        original = m.run(*w);
-    }
-    std::ostringstream os;
-    {
-        auto w = makeWorkload("STRIDE", params4());
-        recordTrace(*w, os);
-    }
-    std::istringstream is(os.str());
-    TraceWorkload replay(is);
+    const std::string text = recordedText("STRIDE", &original);
     Machine m(tinyConfig(Scheme::VCOMA));
-    const RunStats replayed = m.run(replay);
+    const RunStats replayed = m.run(*replayText(text));
     EXPECT_EQ(replayed.execTime, original.execTime);
     EXPECT_EQ(replayed.totalRefs(), original.totalRefs());
     EXPECT_EQ(replayed.remoteReads, original.remoteReads);
@@ -83,21 +109,20 @@ TEST(Trace, ReplayRunsIdenticallyToOriginal)
 
 TEST(Trace, SyntheticSegmentCoversAddresses)
 {
-    auto w = makeWorkload("UNIFORM", params4());
-    std::ostringstream os;
-    recordTrace(*w, os);
-    std::istringstream is(os.str());
-    TraceWorkload replay(is);
-    ASSERT_FALSE(replay.space().segments().empty());
-    const Segment &seg = replay.space().segments().front();
-    for (unsigned t = 0; t < replay.numThreads(); ++t) {
-        for (const MemRef &ref : replay.stream(t)) {
+    // The footprint spans every touched address, and the packed
+    // conversion keeps it as the replay's shared bytes.
+    const std::string text = recordedText("UNIFORM");
+    const TextTrace trace = parse(text);
+    ASSERT_LT(trace.lo, trace.hi);
+    for (const auto &stream : trace.streams) {
+        for (const MemRef &ref : stream) {
             if (ref.kind != MemRef::Kind::Mem)
                 continue;
-            EXPECT_GE(ref.vaddr, seg.base);
-            EXPECT_LT(ref.vaddr, seg.end());
+            EXPECT_GE(ref.vaddr, trace.lo);
+            EXPECT_LT(ref.vaddr, trace.hi);
         }
     }
+    EXPECT_EQ(replayText(text)->sharedBytes(), trace.hi - trace.lo);
 }
 
 TEST(Trace, RejectsMalformedInput)
@@ -125,21 +150,19 @@ TEST(Trace, RejectsMalformedInput)
              "vcoma-trace-v1\nthreads 2\n0 R 18446744073709551612 1\n",
          }) {
         std::istringstream is(text);
-        EXPECT_THROW(TraceWorkload{is}, FatalError) << text;
+        EXPECT_THROW(parseTextTrace(is), FatalError) << text;
     }
     // The highest address that still fits an 8-byte access is fine.
-    std::istringstream is(
-        "vcoma-trace-v1\nthreads 1\n0 R 18446744073709551607 1\n");
-    TraceWorkload w{is};
-    EXPECT_EQ(w.sharedBytes(), 8u);
+    const TextTrace top =
+        parse("vcoma-trace-v1\nthreads 1\n0 R 18446744073709551607 1\n");
+    EXPECT_EQ(top.hi - top.lo, 8u);
 }
 
 TEST(Trace, DiagnosticsCarryLineNumbersAndDetail)
 {
     auto messageOf = [](const std::string &text) {
-        std::istringstream is(text);
         try {
-            TraceWorkload w{is};
+            parse(text);
         } catch (const FatalError &e) {
             return std::string(e.what());
         }
@@ -198,25 +221,20 @@ TEST(Trace, DiagnosticsCarryLineNumbersAndDetail)
     }
     // Blank lines are still tolerated and do not shift the numbering.
     {
-        std::istringstream is(
-            "vcoma-trace-v1\nthreads 2\n\n0 R 100 1\n\n1 R 108 1\n");
-        TraceWorkload w{is};
-        EXPECT_EQ(w.stream(0).size(), 1u);
-        EXPECT_EQ(w.stream(1).size(), 1u);
+        const TextTrace t =
+            parse("vcoma-trace-v1\nthreads 2\n\n0 R 100 1\n\n1 R 108 1\n");
+        EXPECT_EQ(t.streams[0].size(), 1u);
+        EXPECT_EQ(t.streams[1].size(), 1u);
     }
 }
 
 TEST(Trace, LocksAndBarriersSurvive)
 {
-    auto w = makeWorkload("OCEAN", params4());
-    std::ostringstream os;
-    recordTrace(*w, os);
-    std::istringstream is(os.str());
-    TraceWorkload replay(is);
+    const std::string text = recordedText("OCEAN");
     unsigned locks = 0;
     unsigned barriers = 0;
-    for (unsigned t = 0; t < replay.numThreads(); ++t) {
-        for (const MemRef &ref : replay.stream(t)) {
+    for (const auto &stream : parse(text).streams) {
+        for (const MemRef &ref : stream) {
             if (ref.kind == MemRef::Kind::LockAcquire)
                 ++locks;
             if (ref.kind == MemRef::Kind::Barrier)
@@ -227,5 +245,5 @@ TEST(Trace, LocksAndBarriersSurvive)
     EXPECT_GT(barriers, 0u);
     // The replay still runs to completion on a machine.
     Machine m(tinyConfig(Scheme::L0));
-    EXPECT_NO_THROW(m.run(replay));
+    EXPECT_NO_THROW(m.run(*replayText(text)));
 }

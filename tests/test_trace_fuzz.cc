@@ -2,7 +2,7 @@
  * @file
  * Seeded fuzzing of the two trace readers: the packed memref format
  * (PackedTrace, behind ReplayWorkload and "TRACE:" workloads) and the
- * text grammar (TraceWorkload). Each mutation — a bit flip, a
+ * text grammar (parseTextTrace). Each mutation — a bit flip, a
  * deletion, an insertion or a truncation, aimed at the header, the
  * index/string section or the payload — must either be rejected with
  * the reader's typed error (TraceFormatError for packed traces,
@@ -124,13 +124,14 @@ mutate(std::string bytes, std::size_t begin, std::size_t end, Rng &rng,
 
 /** Record a tiny V-COMA run of STRIDE as a packed trace at @p path. */
 void
-recordStride(const std::filesystem::path &path)
+recordLive(const std::filesystem::path &path, const std::string &workload,
+           double scale)
 {
     MachineConfig cfg = tinyConfig(Scheme::VCOMA);
     WorkloadParams p;
     p.threads = cfg.numNodes;
-    p.scale = 0.01;
-    auto live = makeWorkload("STRIDE", p);
+    p.scale = scale;
+    auto live = makeWorkload(workload, p);
     RecordingWorkload recorder(*live, path.string(), "fuzz-key");
     Machine(cfg).run(recorder);
     ASSERT_TRUE(recorder.finalize());
@@ -199,7 +200,7 @@ TEST(TraceFuzz, PackedTraceMutantsAreRejectedOrReplayIdentically)
 {
     TempDir dir;
     const auto original = dir.path / "original.vctrace";
-    recordStride(original);
+    recordLive(original, "STRIDE", 0.01);
     ReplayWorkload reference(original.string());
     const Streams recorded = streamsOf(reference);
     const std::string bytes = slurp(original);
@@ -249,7 +250,7 @@ TEST(TraceFuzz, ResealedNonCanonicalRecordsAreRejected)
 {
     TempDir dir;
     const auto original = dir.path / "original.vctrace";
-    recordStride(original);
+    recordLive(original, "STRIDE", 0.01);
     const std::string clean = slurp(original);
     const std::size_t payloadStart = payloadStartOf(clean);
 
@@ -306,19 +307,19 @@ TEST(TraceFuzz, ResealedNonCanonicalRecordsAreRejected)
 }
 
 /**
- * A text trace recorded from a live workload, mutated 2000 ways. A
+ * A live run's recorded trace, spelled as text by `vcoma_trace dump`
+ * and mutated 2000 ways. A
  * mutant either throws FatalError naming a line, or loads exactly one
  * event per event line it spells, and replays identically through the
  * packed path (convert, then ReplayWorkload).
  */
 TEST(TraceFuzz, TextTraceMutantsAreRejectedOrReplayIdentically)
 {
-    WorkloadParams p;
-    p.threads = 4;
-    p.scale = 0.005;
-    auto live = makeWorkload("UNIFORM", p);
+    TempDir dir;
+    const auto seed = dir.path / "seed.vctrace";
+    recordLive(seed, "UNIFORM", 0.005);
     std::ostringstream os;
-    recordTrace(*live, os);
+    dumpPackedTraceAsText(seed.string(), os);
     const std::string text = os.str();
     const std::size_t header = text.find('\n', text.find('\n') + 1) + 1;
     ASSERT_LT(header, text.size());
@@ -340,7 +341,6 @@ TEST(TraceFuzz, TextTraceMutantsAreRejectedOrReplayIdentically)
         return n;
     };
 
-    TempDir dir;
     const auto packed = dir.path / "mutant.vctrace";
     Rng rng(0x7e47);
     unsigned rejected = 0, loaded = 0;
@@ -354,9 +354,9 @@ TEST(TraceFuzz, TextTraceMutantsAreRejectedOrReplayIdentically)
                                   std::to_string(static_cast<int>(kind)) +
                                   ", region " + std::to_string(region) + ")";
         std::istringstream is(mutant);
-        std::unique_ptr<TraceWorkload> w;
+        Streams streams;
         try {
-            w = std::make_unique<TraceWorkload>(is);
+            streams = parseTextTrace(is).streams;
         } catch (const FatalError &e) {
             ++rejected;
             EXPECT_NE(std::string(e.what()).find("trace"),
@@ -365,7 +365,6 @@ TEST(TraceFuzz, TextTraceMutantsAreRejectedOrReplayIdentically)
             continue;
         }
         ++loaded;
-        const Streams streams = streamsOf(*w);
         std::uint64_t events = 0;
         for (const auto &s : streams)
             events += s.size();

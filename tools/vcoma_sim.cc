@@ -2,28 +2,28 @@
  * @file
  * vcoma_sim — the command-line front end of the simulator.
  *
- * Runs one workload (built-in kernel or recorded trace) on one machine
- * configuration and reports the stats sheet; can also record traces
- * and dump the full per-component statistics hierarchy.
+ * Runs one workload (built-in kernel or packed trace) on one machine
+ * configuration and reports the stats sheet; can also record the
+ * packed trace of exactly what the run consumed, and dump the full
+ * per-component statistics hierarchy.
  *
  *   vcoma_sim --workload FFT --scheme VCOMA --entries 8
  *   vcoma_sim --workload RADIX --scheme L0 --entries 16 --assoc 1
- *   vcoma_sim --workload BARNES --record barnes.trace
- *   vcoma_sim --replay barnes.trace --scheme L3 --dump-stats
+ *   vcoma_sim --workload BARNES --record barnes.vctrace
+ *   vcoma_sim --workload TRACE:barnes.vctrace --scheme L3 --dump-stats
  */
 
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <type_traits>
 
 #include "common/parse_number.hh"
+#include "harness/runner.hh"
 #include "sim/machine.hh"
-#include "sim/trace.hh"
 #include "translation/scheme.hh"
-#include "translation/system_builder.hh"
+#include "workloads/replay.hh"
 #include "workloads/workload.hh"
 
 using namespace vcoma;
@@ -33,18 +33,10 @@ namespace
 
 struct Options
 {
-    std::string workload = "RADIX";
-    std::string replayPath;
+    /** The run, as the Runner would key it; timed unless --untimed. */
+    ExperimentConfig run;
     std::string recordPath;
-    Scheme scheme = Scheme::VCOMA;
-    unsigned entries = 8;
-    unsigned assoc = 0;
-    unsigned nodes = 32;
-    double scale = 1.0;
-    std::uint64_t seed = 1;
-    bool timed = true;
     bool dumpStats = false;
-    bool raytraceV2 = false;
     std::string statsJsonPath;
     std::string traceEventsPath;
 };
@@ -88,8 +80,8 @@ usage(int code)
         "  --seed N          deterministic seed\n"
         "  --untimed         do not charge translation-miss penalties\n"
         "  --raytrace-v2     page-aligned ray stacks (Figure 10 V2)\n"
-        "  --record FILE     write the reference trace and exit\n"
-        "  --replay FILE     simulate a recorded trace\n"
+        "  --record FILE     also publish the run's packed trace\n"
+        "                    (replay it with --workload TRACE:FILE)\n"
         "  --dump-stats      print the per-component stats hierarchy\n"
         "  --stats-json FILE append the stats sheet as one JSONL line\n"
         "                    (same as VCOMA_STATS_JSON=FILE)\n"
@@ -117,6 +109,7 @@ Options
 parse(int argc, char **argv)
 {
     Options opt;
+    opt.run.timedTranslation = true;
     auto value = [&](int &i) -> std::string {
         if (i + 1 >= argc) {
             std::cerr << "missing value for " << argv[i] << "\n";
@@ -141,27 +134,25 @@ parse(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--workload")
-            opt.workload = value(i);
+            opt.run.workload = value(i);
         else if (arg == "--scheme")
-            opt.scheme = parseScheme(value(i));
+            opt.run.scheme = parseScheme(value(i));
         else if (arg == "--entries")
-            number(i, opt.entries);
+            number(i, opt.run.tlbEntries);
         else if (arg == "--assoc")
-            number(i, opt.assoc);
+            number(i, opt.run.tlbAssoc);
         else if (arg == "--nodes")
-            number(i, opt.nodes);
+            number(i, opt.run.nodes);
         else if (arg == "--scale")
-            number(i, opt.scale);
+            number(i, opt.run.scale);
         else if (arg == "--seed")
-            number(i, opt.seed);
+            number(i, opt.run.seed);
         else if (arg == "--untimed")
-            opt.timed = false;
+            opt.run.timedTranslation = false;
         else if (arg == "--raytrace-v2")
-            opt.raytraceV2 = true;
+            opt.run.raytraceV2 = true;
         else if (arg == "--record")
             opt.recordPath = value(i);
-        else if (arg == "--replay")
-            opt.replayPath = value(i);
         else if (arg == "--dump-stats")
             opt.dumpStats = true;
         else if (arg == "--stats-json")
@@ -179,46 +170,15 @@ parse(int argc, char **argv)
     return opt;
 }
 
-std::unique_ptr<Workload>
-buildWorkload(const Options &opt)
-{
-    if (!opt.replayPath.empty()) {
-        std::ifstream in(opt.replayPath);
-        if (!in) {
-            std::cerr << "cannot open trace '" << opt.replayPath
-                      << "'\n";
-            std::exit(1);
-        }
-        return std::make_unique<TraceWorkload>(in);
-    }
-    WorkloadParams params;
-    params.threads = opt.nodes;
-    params.scale = opt.scale;
-    params.seed = opt.seed;
-    params.raytraceV2Layout = opt.raytraceV2;
-    return makeWorkload(opt.workload, params);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 try {
     const Options opt = parse(argc, argv);
-    auto workload = buildWorkload(opt);
-
-    if (!opt.recordPath.empty()) {
-        std::ofstream out(opt.recordPath);
-        if (!out) {
-            std::cerr << "cannot write '" << opt.recordPath << "'\n";
-            return 1;
-        }
-        const std::uint64_t events = recordTrace(*workload, out);
-        std::cout << "recorded " << events << " events from "
-                  << workload->name() << " to " << opt.recordPath
-                  << "\n";
-        return 0;
-    }
+    const ExperimentConfig &run = opt.run;
+    const std::unique_ptr<Workload> workload =
+        makeWorkload(run.workload, run.workloadParams());
 
     // The exporters are wired to the environment (so every consumer —
     // bench binaries, the service — shares one switch); the CLI flags
@@ -229,21 +189,25 @@ try {
     if (!opt.traceEventsPath.empty())
         ::setenv("VCOMA_TRACE_EVENTS", opt.traceEventsPath.c_str(), 1);
 
-    MachineConfig cfg =
-        baselineConfig(opt.scheme, opt.entries, opt.assoc);
-    cfg.numNodes = opt.nodes;
-    cfg.timedTranslation = opt.timed;
-    cfg.seed = opt.seed;
-    Machine machine(cfg);
+    Machine machine(run.machine());
 
-    const RunStats stats = machine.run(*workload);
+    std::optional<RecordingWorkload> recording;
+    if (!opt.recordPath.empty())
+        recording.emplace(*workload, opt.recordPath, run.key());
+    const RunStats stats =
+        machine.run(recording ? *recording : *workload);
+    if (recording && !recording->finalize()) {
+        std::cerr << "vcoma_sim: cannot record trace '" << opt.recordPath
+                  << "'\n";
+        return 1;
+    }
 
     std::cout << "workload     : " << stats.workload << " ("
               << stats.parameters << ")\n"
               << "scheme       : " << schemeName(stats.scheme)
-              << ", TLB/DLB " << opt.entries << " entries, "
-              << (opt.assoc == 0 ? std::string("fully associative")
-                                 : std::to_string(opt.assoc) + "-way")
+              << ", TLB/DLB " << run.tlbEntries << " entries, "
+              << (run.tlbAssoc == 0 ? std::string("fully associative")
+                                    : std::to_string(run.tlbAssoc) + "-way")
               << "\n"
               << "nodes        : " << stats.numNodes << "\n"
               << "references   : " << stats.totalRefs() << "\n"
