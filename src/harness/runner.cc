@@ -79,14 +79,17 @@ sanitizeKeyComponent(const std::string &s)
     return os.str();
 }
 
-/**
- * Poison a finished machine the way ExperimentConfig::injectFault
- * asks: corrupt one seeded target of the named fault class, then run
- * a full invariant sweep, which is guaranteed to throw (the injector
- * test suite proves every class is detected). Unknown class names and
- * machines without a suitable target also throw, so a poisoned
- * config never silently succeeds.
- */
+/** The key of @p cfg under @p scheme with the TLB/DLB at @p entries. */
+std::string
+siblingKey(ExperimentConfig cfg, Scheme scheme, unsigned entries)
+{
+    cfg.scheme = scheme;
+    cfg.tlbEntries = entries;
+    return cfg.key();
+}
+
+} // namespace
+
 void
 applyConfiguredFault(Machine &machine, const ExperimentConfig &cfg)
 {
@@ -111,17 +114,6 @@ applyConfiguredFault(Machine &machine, const ExperimentConfig &cfg)
         "injectFault '", cfg.injectFault, "' corrupted ", *what,
         " but the invariant sweep did not detect it"));
 }
-
-/** The key of @p cfg under @p scheme with the TLB/DLB at @p entries. */
-std::string
-siblingKey(ExperimentConfig cfg, Scheme scheme, unsigned entries)
-{
-    cfg.scheme = scheme;
-    cfg.tlbEntries = entries;
-    return cfg.key();
-}
-
-} // namespace
 
 std::string
 ExperimentConfig::key() const

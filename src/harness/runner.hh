@@ -31,6 +31,8 @@
 namespace vcoma
 {
 
+class Machine;
+
 /**
  * Thrown when a simulation fails: wraps whatever escaped the machine
  * (a ProtectionFault, PanicError, FatalError, WatchdogError, ...)
@@ -84,6 +86,17 @@ struct ExperimentConfig
     /** The parameters its workload is built with. */
     WorkloadParams workloadParams() const;
 };
+
+/**
+ * Poison a finished machine the way @p cfg.injectFault asks: corrupt
+ * one seeded target of the named fault class, then run a full
+ * invariant sweep, which is guaranteed to throw (the injector test
+ * suite proves every class is detected). Unknown class names and
+ * machines without a suitable target also throw SimulationError, so
+ * a poisoned config never silently succeeds.
+ */
+[[noreturn]] void applyConfiguredFault(Machine &machine,
+                                       const ExperimentConfig &cfg);
 
 /** Record of one config that failed to simulate (graceful sweeps). */
 struct FailedRun

@@ -183,11 +183,10 @@ PackedTraceWriter::PackedTraceWriter(std::string finalPath,
     for (Buffer &b : buffers_)
         b.bytes.resize(stagingRecords * packedRecordBytes);
     staging_.open(stagingPath_, std::ios::binary | std::ios::trunc);
-    if (!staging_) {
-        warn("cannot create trace staging file '", stagingPath_,
-             "': recording disabled for this run");
-        ioFailed_ = true;
-    }
+    if (!staging_)
+        throw std::runtime_error("cannot record trace '" + finalPath_ +
+                                 "': cannot create staging file '" +
+                                 stagingPath_ + "'");
 }
 
 PackedTraceWriter::~PackedTraceWriter()

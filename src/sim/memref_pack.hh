@@ -160,6 +160,9 @@ class PackedTraceWriter
      * @param name      Workload::name() of the recorded workload
      * @param params    Workload::parameters() of the workload
      * @param sharedBytes Workload::sharedBytes() of the workload
+     * @throws std::runtime_error naming @p finalPath when the staging
+     *         file cannot be created, so a recording fails before the
+     *         run it would record
      */
     PackedTraceWriter(std::string finalPath, unsigned threads,
                       std::string key, std::string name,

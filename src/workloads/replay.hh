@@ -76,6 +76,8 @@ class RecordingWorkload : public Workload
      * @param inner the live workload (not owned; must outlive this)
      * @param tracePath where finalize() publishes the trace
      * @param key experiment cache key stored in the trace header
+     * @throws std::runtime_error naming @p tracePath when the trace
+     *         cannot be staged (see PackedTraceWriter)
      */
     RecordingWorkload(Workload &inner, const std::string &tracePath,
                       const std::string &key);

@@ -410,8 +410,7 @@ TEST(EnvScaledFlag, SurroundingWhitespaceIsTolerated)
     }
 }
 
-// Strict numeric parsing of command-line values (vcoma_sim and
-// vcoma_client flags).
+// Strict numeric parsing of command-line values (vcoma_client flags).
 
 TEST(ParseNumber, AcceptsWholeInRangeNumbers)
 {

@@ -234,21 +234,44 @@ TEST(MemRefPack, AbandonedWriterPublishesNothing)
     EXPECT_TRUE(std::filesystem::is_empty(dir.path));
 }
 
+/** what() of the std::runtime_error @p f throws; empty if none. */
+template <typename F>
+std::string
+thrownMessage(F f)
+{
+    try {
+        f();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(MemRefPack, UnwritablePathFailsWithoutPublishing)
 {
-    // The staging file cannot be created: appends past a staging
-    // chunk must still be safe, and finalize() reports the failure.
+    // The staging file cannot be created: the writer refuses at
+    // construction, naming the trace path, before it records anything.
     TempDir dir;
     const std::string path = (dir.path / "no/such/dir/x.vctrace").string();
-    PackedTraceWriter writer(path, 2, "k", "N", "p", 0);
-    for (int i = 0; i < 20000; ++i)  // several staging chunks per tid
-        writer.append(i % 2, MemRef::read(i * 64, 1));
-    EXPECT_EQ(writer.totalEvents(), 20000u);
-    std::string error;
-    EXPECT_FALSE(writer.finalize(&error));
-    EXPECT_NE(error.find("no/such/dir/x.vctrace"), std::string::npos)
-        << error;
-    EXPECT_FALSE(writer.finalized());
+    const std::string error = thrownMessage(
+        [&] { PackedTraceWriter writer(path, 2, "k", "N", "p", 0); });
+    EXPECT_NE(error.find("'" + path + "'"), std::string::npos) << error;
+    EXPECT_TRUE(std::filesystem::is_empty(dir.path));
+}
+
+TEST(MemRefPack, UnwritableRecordingFailsBeforeTheRun)
+{
+    // A recording that could never publish fails when it is made, so
+    // no run is simulated for a trace that will not exist.
+    TempDir dir;
+    const std::string path = (dir.path / "missing/r.vctrace").string();
+    WorkloadParams wp;
+    wp.threads = 2;
+    wp.scale = 0.01;
+    const std::unique_ptr<Workload> live = makeWorkload("FFT", wp);
+    const std::string error = thrownMessage(
+        [&] { RecordingWorkload recording(*live, path, "k"); });
+    EXPECT_NE(error.find("'" + path + "'"), std::string::npos) << error;
     EXPECT_TRUE(std::filesystem::is_empty(dir.path));
 }
 
