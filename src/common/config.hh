@@ -88,8 +88,6 @@ struct TimingConfig
     Cycles lockTransfer = 40;
     /** AM tag check discovering a local-node miss. */
     Cycles amTagCheck = 20;
-    /** Disk service for a page fault (0: preloaded data sets). */
-    Cycles pageFault = 0;
 };
 
 /** Where the dynamic address translation mechanism is placed. */

@@ -184,12 +184,6 @@ Runner::defaultCacheDir()
     return ".vcoma_cache";
 }
 
-unsigned
-Runner::envJobs()
-{
-    return ThreadPool::defaultThreads();
-}
-
 std::uint64_t
 Runner::envCacheMaxBytes()
 {
@@ -447,7 +441,7 @@ Runner::executeAll(std::span<const ExperimentConfig> cfgs,
                    const std::vector<std::size_t> &slots)
 {
     const unsigned jobs = static_cast<unsigned>(
-        std::min<std::size_t>(envJobs(), slots.size()));
+        std::min<std::size_t>(ThreadPool::defaultThreads(), slots.size()));
     if (jobs <= 1) {
         for (std::size_t i : slots)
             executeAndMemoise(cfgs[i], keys[i]);

@@ -193,9 +193,6 @@ class Runner
     /** $VCOMA_CACHE_DIR, or ".vcoma_cache"; truthy $VCOMA_NO_CACHE -> "". */
     static std::string defaultCacheDir();
 
-    /** runAll() worker count: $VCOMA_JOBS, or one per hardware thread. */
-    static unsigned envJobs();
-
     /** Disk-cache budget from $VCOMA_CACHE_MAX_MB in bytes; 0 = unlimited. */
     static std::uint64_t envCacheMaxBytes();
 

@@ -11,7 +11,6 @@
 #include "common/logging.hh"
 #include "sim/dispatch_queue.hh"
 #include "sim/event_trace.hh"
-#include "sim/run_stats_json.hh"
 #include "sim/sync.hh"
 #include "translation/system_builder.hh"
 
@@ -409,9 +408,7 @@ Machine::run(Workload &workload)
     }
     RunStats stats = collect(workload, std::move(cpus), execTime);
 
-    // Observability exports, both env-gated: one JSONL line per run
-    // ($VCOMA_STATS_JSON) and the Chrome trace ($VCOMA_TRACE_EVENTS).
-    exportRunStatsJsonFromEnv(stats);
+    // The Chrome trace ($VCOMA_TRACE_EVENTS), env-gated.
     if (tracer_)
         tracer_->flush(cfg_.numNodes);
     return stats;

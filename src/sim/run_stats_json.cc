@@ -3,13 +3,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
-#include <mutex>
 #include <sstream>
 
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "sim/run_stats.hh"
 #include "translation/scheme.hh"
 
@@ -18,9 +15,6 @@ namespace vcoma
 
 namespace
 {
-
-/// Keeps JSONL lines whole under Runner::runAll's worker threads.
-std::mutex statsFileMutex;
 
 /// Shortest representation that round-trips a double through JSON.
 void
@@ -285,24 +279,6 @@ readRunStatsJson(std::string_view text)
     if (again.str() != text)
         return std::nullopt;
     return s;
-}
-
-bool
-exportRunStatsJsonFromEnv(const RunStats &stats)
-{
-    const char *path = std::getenv(statsJsonEnvVar);
-    if (!path || !*path)
-        return false;
-
-    std::lock_guard<std::mutex> lock(statsFileMutex);
-    std::ofstream os(path, std::ios::app);
-    if (!os) {
-        warn("stats export: cannot open ", path, "; line dropped");
-        return false;
-    }
-    writeRunStatsJson(os, stats);
-    os << "\n";
-    return static_cast<bool>(os);
 }
 
 } // namespace vcoma

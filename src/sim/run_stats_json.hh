@@ -1,7 +1,7 @@
 /**
  * @file
  * Structured (JSON) form of a run's statistics sheet — the one
- * serialisation of RunStats. Three entry points:
+ * serialisation of RunStats. Two entry points:
  *
  *  - writeRunStatsJson() serialises one RunStats as a single JSON
  *    object (one line, no trailing newline) — every counter, the
@@ -11,11 +11,8 @@
  *  - readRunStatsJson() is its inverse, used by the result cache. It
  *    accepts exactly the bytes the writer produces and nothing else.
  *
- *  - exportRunStatsJsonFromEnv() appends that object as one JSONL
- *    line to the file named by $VCOMA_STATS_JSON, if set. Appending
- *    (not truncating) makes a whole bench sweep land in one file;
- *    a process-wide lock keeps lines whole when Runner::runAll
- *    finishes several simulations concurrently.
+ * A sheet leaves a process one way: `vcoma_client --jsonl` appends
+ * writeRunStatsJson() plus a newline per config.
  *
  * The output parses with `python3 -m vcoma_sweep check-stats` and the
  * in-tree vcoma::JsonValue parser (see tests/test_stats_json.cc).
@@ -33,9 +30,6 @@
 namespace vcoma
 {
 
-/** Environment variable naming the JSONL stats file. */
-inline constexpr const char *statsJsonEnvVar = "VCOMA_STATS_JSON";
-
 /** Serialise @p stats as one JSON object (no trailing newline). */
 void writeRunStatsJson(std::ostream &os, const RunStats &stats);
 
@@ -48,13 +42,6 @@ void writeRunStatsJson(std::ostream &os, const RunStats &stats);
  * means, xlatOverTotalStallPct) and doubles that do not round-trip.
  */
 std::optional<RunStats> readRunStatsJson(std::string_view text);
-
-/**
- * Append one JSONL line for @p stats to $VCOMA_STATS_JSON.
- * @return true when a line was written (the variable was set and the
- *         file was writable).
- */
-bool exportRunStatsJsonFromEnv(const RunStats &stats);
 
 } // namespace vcoma
 

@@ -255,7 +255,7 @@ expectFastPathEquivalence(Scheme scheme, const std::string &workload,
     expectSameStats(fast.stats, deep.stats);
     // The JSON line carries every RunStats field (shadow sweep,
     // pressure profile, latency summaries): require exact identity,
-    // which is also what $VCOMA_STATS_JSON consumers would diff.
+    // which is also what `vcoma_client --jsonl` consumers would diff.
     EXPECT_EQ(fast.json, deep.json);
     // And the full component hierarchy: per-node cache/AM/TLB/network
     // counters must match, not just the aggregated sheet.

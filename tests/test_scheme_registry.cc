@@ -215,7 +215,7 @@ TEST(ModernSchemes, LegacySchemesHaveNoSpillCounters)
  * byte-identical stats sheets (and unchanged cache keys) against
  * goldens recorded with the pre-refactor simulator. The golden
  * directory holds one sheet per config, named `<cache key>.json`:
- * the exact bytes `vcoma_client direct --out-dir` writes.
+ * the exact bytes of that config's `vcoma_client direct --jsonl` line.
  */
 TEST(LegacyEquivalence, GoldenSheetsAreByteIdentical)
 {

@@ -2,9 +2,8 @@
  * @file
  * Observability-layer tests: the JSON stats exporter round-trips
  * through the in-tree parser and agrees with the RunStats aggregates,
- * the env-gated JSONL/trace outputs appear exactly when their
- * variables are set, the Chrome trace is valid JSON with per-track
- * monotonic timestamps, and a shared V-COMA workload evidences the
+ * the env-gated Chrome trace is valid JSON with per-track monotonic
+ * timestamps, and a shared V-COMA workload evidences the
  * paper's three DLB effects (filtering, sharing, prefetching).
  */
 
@@ -248,44 +247,6 @@ TEST(StatsJson, ReaderFailsClosedUnderMutation)
         writeRunStatsJson(again, *got);
         EXPECT_EQ(again.str(), text);
     }
-}
-
-TEST(StatsJson, ExportIsGatedOnEnvVar)
-{
-    const RunStats stats = runTinyVcoma();
-    // Variable unset: no export, no file.
-    ::unsetenv(statsJsonEnvVar);
-    EXPECT_FALSE(exportRunStatsJsonFromEnv(stats));
-
-    TempFile file("vcoma_stats_jsonl");
-    ScopedEnv env(statsJsonEnvVar, file.path());
-    EXPECT_TRUE(exportRunStatsJsonFromEnv(stats));
-    EXPECT_TRUE(exportRunStatsJsonFromEnv(stats));  // appends
-
-    std::ifstream in(file.path());
-    std::string line;
-    unsigned lines = 0;
-    while (std::getline(in, line)) {
-        const JsonValue doc = JsonValue::parse(line);
-        EXPECT_EQ(doc.at("totals").at("refs").asUint(),
-                  stats.totalRefs());
-        ++lines;
-    }
-    EXPECT_EQ(lines, 2u);
-}
-
-TEST(StatsJson, MachineRunWritesJsonlWhenEnabled)
-{
-    TempFile file("vcoma_stats_machine_jsonl");
-    ScopedEnv env(statsJsonEnvVar, file.path());
-    const RunStats stats = runTinyVcoma();
-
-    std::ifstream in(file.path());
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    const JsonValue doc = JsonValue::parse(line);
-    EXPECT_EQ(doc.at("totals").at("refs").asUint(), stats.totalRefs());
-    EXPECT_FALSE(std::getline(in, line));  // exactly one run, one line
 }
 
 TEST(StatsJson, TraceIsValidJsonWithMonotonicTracks)

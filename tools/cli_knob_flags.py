@@ -51,15 +51,16 @@ def same_sheet(binary, work, env, config, knob_flags):
     the two sheets byte-equal."""
     flags = ["--workload", config.workload, "--scheme", config.scheme]
     flags += knob_flags
-    sheets = os.path.join(work, config.sweep_id)
-    err = client(binary, ["direct"] + flags + ["--out-dir", sheets], env)
+    direct_jsonl = os.path.join(work, config.sweep_id + ".direct.jsonl")
+    err = client(binary, ["direct"] + flags + ["--jsonl", direct_jsonl],
+                 env)
     want = f"vcoma_client: {config.key()} (simulated)"
     if want not in err.splitlines():
         sys.exit(f"direct did not simulate {config.key()}:\n{err}")
 
-    run_jsonl = os.path.join(work, config.sweep_id + ".jsonl")
+    run_jsonl = os.path.join(work, config.sweep_id + ".run.jsonl")
     client(binary, ["run"] + flags + ["--jsonl", run_jsonl], env)
-    with open(os.path.join(sheets, config.key() + ".json")) as f:
+    with open(direct_jsonl) as f:
         direct = f.read()
     with open(run_jsonl) as f:
         run = f.read()

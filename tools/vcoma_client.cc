@@ -6,14 +6,13 @@
  * struct's default (so both are untimed unless --timed).
  *
  *   vcoma_client direct --workloads RADIX,FFT --schemes L0,VCOMA \
- *                      --scale 0.1 --out-dir direct/
+ *                      --scale 0.1 --jsonl direct.jsonl
  *   vcoma_client run --workload BARNES --scheme L3 --entries 16
  *   vcoma_client run --workload BARNES --record barnes.vctrace
  *   vcoma_client run --workload TRACE:barnes.vctrace --dump-stats
  *
  * `direct` runs the configs (workloads outer, schemes inner) as one
- * Runner::runAll batch on $VCOMA_JOBS threads. Sheets are the exact
- * writeRunStatsJson() output plus one newline. Stderr carries one
+ * Runner::runAll batch on $VCOMA_JOBS threads. Stderr carries one
  * provenance line per config, "(cached)" or "(simulated)", and a last
  * line counting the simulations the batch ran.
  *
@@ -23,11 +22,10 @@
  * it as --workload TRACE:FILE); `--dump-stats` prints the
  * per-component stats hierarchy.
  *
- * `--jsonl FILE` appends one stats record per config — the exact
- * writeRunStatsJson() bytes, i.e. the same schema $VCOMA_STATS_JSON
- * produces — in submission order, so machine consumers
- * (tools/vcoma_sweep) read one stable JSONL interface instead of
- * scraping sheet files. A `direct` config that fails appends a
+ * `--jsonl FILE` is the one way a sheet leaves the process (`direct`
+ * requires it): one line per config, the exact writeRunStatsJson()
+ * bytes plus a newline, in submission order, which is what
+ * tools/vcoma_sweep reads. A `direct` config that fails appends a
  * {"schema":1,"key":...,"error":...} placeholder line so the file
  * always lines up 1:1 with the submitted configs; a failed `run`
  * (including a trace that did not publish) appends nothing. The file
@@ -37,7 +35,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -67,7 +64,6 @@ struct Options
     ExperimentConfig base;
     std::vector<std::string> workloads{base.workload};
     std::vector<Scheme> schemes{base.scheme};
-    std::string outDir;
     std::string jsonlFile;
     std::string recordPath;
     bool dumpStats = false;
@@ -207,11 +203,8 @@ const Flag flagTable[] = {
      setNumber<&ExperimentConfig::xlatPenalty>},
     {"--inject-fault", "CLASS", Both, "poison the finished run (tests)",
      [](Options &o, const char *, Text v) { o.base.injectFault = v; }},
-    {"--jsonl", "FILE", Both,
-     "append one stats line per config\n($VCOMA_STATS_JSON schema)",
+    {"--jsonl", "FILE", Both, "append one stats line per config",
      [](Options &o, const char *, Text v) { o.jsonlFile = v; }},
-    {"--out-dir", "D", Direct, "write one sheet per config into D",
-     [](Options &o, const char *, Text v) { o.outDir = v; }},
     {"--record", "FILE", Run, "also publish the run's packed trace",
      [](Options &o, const char *, Text v) { o.recordPath = v; }},
     {"--dump-stats", nullptr, Run, "print the per-component stats",
@@ -221,17 +214,17 @@ const Flag flagTable[] = {
 void
 printUsage(std::ostream &os)
 {
-    os << "usage: vcoma_client direct [flags] --out-dir D and/or --jsonl F\n"
+    os << "usage: vcoma_client direct [flags] --jsonl F\n"
           "         run the configs through a local Runner\n"
           "       vcoma_client run [flags]\n"
           "         simulate one config live, uncached, and summarise it\n"
-          "flags (d = direct only, r = run only):\n";
+          "flags (r = run only):\n";
     for (const Flag &f : flagTable) {
         std::string head = std::string("  ") + f.name;
         if (f.meta)
             head += std::string(" ") + f.meta;
-        if (f.commands != Both)
-            head += f.commands == Direct ? " (d)" : " (r)";
+        if (f.commands == Run)
+            head += " (r)";
         const std::string help =
             f.help ? f.help : "one of: " + schemeTokenList();
         std::istringstream lines(help);
@@ -291,8 +284,8 @@ parse(int argc, char **argv)
         if (!(f->commands & command))
             usageError(std::string(f->name) + " does not apply to " +
                        opt.command);
-    if (command == Direct && opt.outDir.empty() && opt.jsonlFile.empty())
-        usageError("direct needs --out-dir and/or --jsonl");
+    if (command == Direct && opt.jsonlFile.empty())
+        usageError("direct needs --jsonl");
     if (command == Run &&
         opt.workloads.size() * opt.schemes.size() != 1)
         usageError("run simulates one config: give one workload and "
@@ -334,6 +327,19 @@ openJsonl(const std::string &path)
     return out;
 }
 
+/**
+ * The --jsonl file is the only copy of the sheets: false, with a
+ * message, when its lines did not reach it.
+ */
+bool
+jsonlWritten(std::ofstream &jsonl, const std::string &path)
+{
+    if (path.empty() || jsonl.flush())
+        return true;
+    std::cerr << "cannot write '" << path << "'\n";
+    return false;
+}
+
 std::string
 statsJson(const RunStats &stats)
 {
@@ -345,8 +351,6 @@ statsJson(const RunStats &stats)
 int
 runDirect(const Options &opt)
 {
-    if (!opt.outDir.empty())
-        std::filesystem::create_directories(opt.outDir);
     std::ofstream jsonl = openJsonl(opt.jsonlFile);
     const std::vector<ExperimentConfig> cfgs = sweepConfigs(opt);
     Runner runner;
@@ -368,22 +372,14 @@ runDirect(const Options &opt)
         // Provenance goes to stderr; stdout stays machine-clean.
         std::cerr << "vcoma_client: " << cfg.key()
                   << (fresh[i] ? " (simulated)" : " (cached)") << "\n";
-        const std::string sheet = statsJson(*stats);
-        jsonl << sheet << "\n";
-        if (opt.outDir.empty())
-            continue;
-        const std::string path = opt.outDir + "/" + cfg.key() + ".json";
-        if (!(std::ofstream(path) << sheet << "\n")) {
-            std::cerr << "cannot write '" << path << "'\n";
-            return 1;
-        }
+        jsonl << statsJson(*stats) << "\n";
     }
     // One simulation serves every TLB/DLB size of an untimed config,
     // and L3-TLB, V-COMA and NMT alike, so this can be fewer than the
     // configs reported simulated.
     std::cerr << "vcoma_client: " << runner.executed()
               << " simulation(s) for " << cfgs.size() << " config(s)\n";
-    return rc;
+    return jsonlWritten(jsonl, opt.jsonlFile) ? rc : 1;
 }
 
 void
@@ -446,6 +442,8 @@ runOne(const Options &opt)
     }
     // Only a run whose trace (if any) published yields a sheet.
     jsonl << statsJson(stats) << "\n";
+    if (!jsonlWritten(jsonl, opt.jsonlFile))
+        return 1;
     printSummary(run, stats);
     if (opt.dumpStats) {
         std::cout << "\n";

@@ -1,7 +1,7 @@
 """CI validators:
 
-  * :mod:`vcoma_sweep.checks.stats` -- validates VCOMA_STATS_JSON
-    JSONL sheets, Chrome traces and BENCH_*.json reports.
+  * :mod:`vcoma_sweep.checks.stats` -- validates `vcoma_client --jsonl`
+    sheets, Chrome traces and BENCH_*.json reports.
   * :mod:`vcoma_sweep.checks.perf` -- gates BENCH_perf_core.json
     ratios against bench/perf_baseline.json.
   * :mod:`vcoma_sweep.checks.claims` -- checks the paper's claims on

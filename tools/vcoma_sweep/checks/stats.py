@@ -186,7 +186,7 @@ def check_bench(pattern):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("stats",
-                    help="JSONL file written via VCOMA_STATS_JSON")
+                    help="JSONL sheets written by vcoma_client --jsonl")
     ap.add_argument("--trace", help="Chrome trace via VCOMA_TRACE_EVENTS")
     ap.add_argument("--bench-glob", help="glob of BENCH_*.json reports")
     ap.add_argument("--require-vcoma", action="store_true",

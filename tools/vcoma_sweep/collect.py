@@ -1,4 +1,4 @@
-"""Collect: client JSONL (or sheet files) -> one normalized table.
+"""Collect: client JSONL -> one normalized table.
 
 The client's `--jsonl` output carries one record per submitted
 config, in submission order; the spec expansion produced that same
@@ -25,13 +25,12 @@ figures skip them and the tables print their cells as n/a*.
 """
 
 import json
-import os
 
 from .spec import SpecError
 
 
 class CollectError(ValueError):
-    """JSONL/sheets that do not line up with the spec expansion."""
+    """JSONL that does not line up with the spec expansion."""
 
 
 def _reject_constant(token):
@@ -146,23 +145,6 @@ def collect_jsonl(configs, jsonl_path, submit_result=None):
     return rows
 
 
-def collect_sheets(configs, sheet_dir):
-    """Same table from a directory of per-config sheet files (the
-    `--out-dir` interface, for sweeps run without `--jsonl`)."""
-    rows = []
-    for cfg in configs:
-        path = os.path.join(sheet_dir, cfg.key() + ".json")
-        if not os.path.exists(path):
-            row = cfg.provenance()
-            row["error"] = f"sheet {path} missing"
-            rows.append(row)
-            continue
-        with open(path, "r", encoding="utf-8") as f:
-            rows.append(_row_for(cfg, _load_record(f.read(), path),
-                                 path))
-    return rows
-
-
 def write_results(rows, path, spec_name):
     """Persist the normalized table (results.json) -- the renderers'
     and any downstream analysis' single input."""
@@ -188,5 +170,4 @@ def sweep_rows(rows, sweep_id):
 
 
 __all__ = ["CollectError", "SpecError", "collect_jsonl",
-           "collect_sheets", "write_results", "read_results",
-           "sweep_rows"]
+           "write_results", "read_results", "sweep_rows"]

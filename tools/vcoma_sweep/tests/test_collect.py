@@ -190,20 +190,5 @@ class ResultsRoundTripTest(unittest.TestCase):
                 C.read_results(p)
 
 
-class CollectSheetsTest(unittest.TestCase):
-    def test_sheet_dir_join_and_missing_sheet(self):
-        cfgs = fixture_configs()
-        lines = fixture_lines()
-        with tempfile.TemporaryDirectory() as d:
-            for cfg, line in list(zip(cfgs, lines))[:3]:
-                with open(os.path.join(d, cfg.key() + ".json"), "w",
-                          encoding="utf-8") as f:
-                    f.write(line)
-            rows = C.collect_sheets(cfgs, d)
-        self.assertEqual(len(rows), 4)
-        self.assertNotIn("error", rows[0])
-        self.assertIn("missing", rows[3]["error"])
-
-
 if __name__ == "__main__":
     unittest.main()
