@@ -1,7 +1,7 @@
 /**
  * @file
  * Environment-variable helpers shared by the harness and the machine:
- * boolean knobs (VCOMA_NO_CACHE, VCOMA_STRICT) and numeric-or-boolean
+ * boolean knobs (VCOMA_NO_CACHE) and numeric-or-boolean
  * knobs that both enable a feature and tune it (VCOMA_CHECK,
  * VCOMA_WATCHDOG).
  */

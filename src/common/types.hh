@@ -70,13 +70,6 @@ enum class RefType : std::uint8_t
     Write,
 };
 
-/** Returns "R" or "W" for trace output. */
-inline const char *
-refTypeName(RefType t)
-{
-    return t == RefType::Read ? "R" : "W";
-}
-
 /**
  * The class of the stream that reaches a translation structure.
  * Demand references are loads/stores filtered down from above;

@@ -8,10 +8,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <iomanip>
 #include <iterator>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -22,7 +20,6 @@
 #include "check/invariant_checker.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "sim/machine.hh"
 #include "sim/run_stats_json.hh"
 #include "translation/scheme.hh"
@@ -168,10 +165,6 @@ Runner::Runner(std::string cacheDir)
             cacheDir_.clear();
         }
     }
-    if (!cacheDir_.empty()) {
-        if (const std::uint64_t maxBytes = envCacheMaxBytes())
-            pruneCache(cacheDir_, maxBytes);
-    }
 }
 
 std::string
@@ -184,82 +177,32 @@ Runner::defaultCacheDir()
     return ".vcoma_cache";
 }
 
-std::uint64_t
-Runner::envCacheMaxBytes()
+unsigned
+Runner::jobCount()
 {
-    const char *s = std::getenv("VCOMA_CACHE_MAX_MB");
-    if (!s || !*s)
-        return 0;
+    const unsigned hw = std::max(std::thread::hardware_concurrency(), 1u);
+    const char *s = std::getenv("VCOMA_JOBS");
+    if (!s)
+        return hw;
+    // strtoul accepts a leading '-' and wraps it modulo 2^32/2^64,
+    // so VCOMA_JOBS=-1 would become the 1024-thread clamp instead of
+    // an error. Treat any negative value as unparsable.
     const char *p = s;
     while (std::isspace(static_cast<unsigned char>(*p)))
         ++p;
     char *end = nullptr;
-    const unsigned long long mb = std::strtoull(p, &end, 10);
-    if (*p == '-' || end == p || *end != '\0') {
-        warn("unparsable VCOMA_CACHE_MAX_MB='", s, "': left unbounded");
-        return 0;
+    const unsigned long v = std::strtoul(s, &end, 10);
+    if (end == s || *end != '\0' || *p == '-') {
+        // runAll() consults this on every batch; warn only once.
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true))
+            warn("unparsable VCOMA_JOBS='", s, "': using ", hw,
+                 " hardware thread(s)");
+        return hw;
     }
-    constexpr std::uint64_t mib = 1024 * 1024;
-    if (mb > std::numeric_limits<std::uint64_t>::max() / mib)
-        return std::numeric_limits<std::uint64_t>::max();
-    return mb * mib;
-}
-
-unsigned
-Runner::pruneCache(const std::string &dir, std::uint64_t maxBytes)
-{
-    namespace fs = std::filesystem;
-    struct Entry
-    {
-        fs::file_time_type mtime;
-        std::uint64_t size;
-        fs::path path;
-    };
-    std::vector<Entry> entries;
-    std::uint64_t total = 0;
-    std::error_code ec;
-    for (const auto &de : fs::directory_iterator(dir, ec)) {
-        if (!de.is_regular_file(ec) ||
-            de.path().extension() != ".json")
-            continue;
-        const auto mtime = de.last_write_time(ec);
-        if (ec)
-            continue;
-        const std::uint64_t size = de.file_size(ec);
-        if (ec)
-            continue;
-        total += size;
-        entries.push_back({mtime, size, de.path()});
-    }
-    if (total <= maxBytes)
-        return 0;
-
-    // Newest first; file name as the deterministic tie-break for
-    // equal mtimes.
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  if (a.mtime != b.mtime)
-                      return a.mtime > b.mtime;
-                  return a.path.filename() < b.path.filename();
-              });
-    unsigned removed = 0;
-    std::uint64_t kept = 0;
-    for (const Entry &e : entries) {
-        if (saturatingAdd(kept, e.size) <= maxBytes) {
-            kept += e.size;
-            continue;
-        }
-        if (fs::remove(e.path, ec))
-            ++removed;
-        else if (ec)
-            warn("cannot prune cache entry '", e.path.string(), "': ",
-                 ec.message());
-    }
-    if (removed)
-        inform("pruned ", removed, " cache entr",
-               removed == 1 ? "y" : "ies", " from '", dir, "' (budget ",
-               maxBytes, " bytes)");
-    return removed;
+    if (v == 0)
+        return hw;
+    return static_cast<unsigned>(std::min<unsigned long>(v, 1024));
 }
 
 const RunStats &
@@ -267,59 +210,17 @@ Runner::run(const ExperimentConfig &cfg)
 {
     if (const RunStats *stats = tryRun(cfg))
         return *stats;
-    std::lock_guard<std::mutex> lock(mutex_);
-    throw SimulationError(failed_.at(cfg.key()).error);
+    throw SimulationError(failureMessage(cfg.key()));
 }
 
 const RunStats *
 Runner::tryRun(const ExperimentConfig &cfg, bool *freshlyExecuted)
 {
+    std::vector<bool> fresh;
+    const RunStats *stats = runAll(std::span(&cfg, 1), &fresh)[0];
     if (freshlyExecuted)
-        *freshlyExecuted = false;
-    const std::string key = cfg.key();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = memo_.find(key);
-        if (it != memo_.end())
-            return &it->second;
-        if (failed_.count(key))
-            return nullptr;
-    }
-
-    RunStats stats;
-    const std::string path = cachePath(key);
-    if (!path.empty() && load(path, stats)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return &memo_.emplace(key, std::move(stats)).first->second;
-    }
-    Sheets sheets;
-    try {
-        sheets = execute(cfg);
-    } catch (const std::exception &e) {
-        recordFailure(cfg, key, e.what());
-        return nullptr;
-    }
-    if (freshlyExecuted)
-        *freshlyExecuted = true;
-    publish(std::move(sheets));
-    std::lock_guard<std::mutex> lock(mutex_);
-    return &memo_.at(key);
-}
-
-void
-Runner::executeAndMemoise(const ExperimentConfig &cfg,
-                          const std::string &key)
-{
-    Sheets sheets;
-    try {
-        sheets = execute(cfg);
-    } catch (const std::exception &e) {
-        recordFailure(cfg, key, e.what());
-        if (envTruthy("VCOMA_STRICT"))
-            throw;
-        return;
-    }
-    publish(std::move(sheets));
+        *freshlyExecuted = fresh[0];
+    return stats;
 }
 
 void
@@ -335,32 +236,12 @@ Runner::publish(Sheets sheets)
         memo_.emplace(key, std::move(stats));
 }
 
-void
-Runner::recordFailure(const ExperimentConfig &cfg, const std::string &key,
-                      const std::string &error)
-{
-    warn("config ", key, " failed: ", error);
-    std::lock_guard<std::mutex> lock(mutex_);
-    failed_.emplace(key, FailedRun{cfg, key, error});
-}
-
 std::string
 Runner::failureMessage(const std::string &key) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = failed_.find(key);
-    return it != failed_.end() ? it->second.error : "";
-}
-
-std::vector<FailedRun>
-Runner::failures() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<FailedRun> out;
-    out.reserve(failed_.size());
-    for (const auto &[key, f] : failed_)
-        out.push_back(f);
-    return out;
+    return it != failed_.end() ? it->second : "";
 }
 
 std::vector<const RunStats *>
@@ -406,7 +287,7 @@ Runner::runAll(std::span<const ExperimentConfig> cfgs,
             served.push_back(i);
         }
     }
-    executeAll(cfgs, keys, toRun);
+    executeAll(cfgs, toRun);
 
     // A sibling whose simulation failed publishes nothing: it runs on
     // its own, so any failure it records is its own.
@@ -418,7 +299,7 @@ Runner::runAll(std::span<const ExperimentConfig> cfgs,
                 orphans.push_back(i);
         }
     }
-    executeAll(cfgs, keys, orphans);
+    executeAll(cfgs, orphans);
 
     std::vector<const RunStats *> results;
     results.reserve(cfgs.size());
@@ -437,29 +318,28 @@ Runner::runAll(std::span<const ExperimentConfig> cfgs,
 
 void
 Runner::executeAll(std::span<const ExperimentConfig> cfgs,
-                   const std::vector<std::string> &keys,
                    const std::vector<std::size_t> &slots)
 {
-    const unsigned jobs = static_cast<unsigned>(
-        std::min<std::size_t>(ThreadPool::defaultThreads(), slots.size()));
-    if (jobs <= 1) {
-        for (std::size_t i : slots)
-            executeAndMemoise(cfgs[i], keys[i]);
-        return;
-    }
-    ThreadPool pool(jobs);
-    std::vector<std::future<void>> done;
-    done.reserve(slots.size());
-    for (std::size_t i : slots) {
-        done.push_back(pool.submit([this, cfg = cfgs[i], key = keys[i]] {
-            executeAndMemoise(cfg, key);
-        }));
-    }
-    // Collect in submission order. Failures are recorded inside the
-    // job, so get() only rethrows under $VCOMA_STRICT; the pool's
-    // destructor still drains the queue if one does.
-    for (auto &f : done)
-        f.get();
+    // A plain parallel-for: the calling thread and jobs - 1 others
+    // take slots from one counter, so slots start in order.
+    std::atomic<std::size_t> next{0};
+    const auto drain = [&] {
+        for (std::size_t n; (n = next.fetch_add(1)) < slots.size();) {
+            const ExperimentConfig &cfg = cfgs[slots[n]];
+            try {
+                publish(execute(cfg));
+            } catch (const std::exception &e) {
+                warn("config ", cfg.key(), " failed: ", e.what());
+                std::lock_guard<std::mutex> lock(mutex_);
+                failed_.emplace(cfg.key(), e.what());
+            }
+        }
+    };
+    const std::size_t jobs = std::min<std::size_t>(jobCount(), slots.size());
+    std::vector<std::jthread> helpers;
+    for (std::size_t t = 1; t < jobs; ++t)
+        helpers.emplace_back(drain);
+    drain();
 }
 
 Runner::Sheets
@@ -524,8 +404,8 @@ void
 Runner::store(const std::string &path, const RunStats &stats) const
 {
     // The cache is an optimisation, so failing to write it is never
-    // fatal; but transient filesystem trouble (a concurrently pruned
-    // cache directory, a momentary ENOSPC) deserves a couple of
+    // fatal; but transient filesystem trouble (a cache directory
+    // removed underneath us, a momentary ENOSPC) deserves a couple of
     // retries with a short backoff before we give up.
     std::string error;
     for (int attempt = 0; attempt < 3; ++attempt) {

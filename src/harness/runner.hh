@@ -6,10 +6,12 @@
  * (vcoma_client, the sweep specs behind the paper tables and
  * figures, the tests) shares simulation runs.
  *
- * Batches submitted through runAll() execute concurrently on up to
- * $VCOMA_JOBS worker threads. Each simulation is single-threaded and
- * fully deterministic, so a parallel batch is bit-identical to the
- * same configs run serially; only the wall clock changes.
+ * runAll() is the one place a config is probed, simulated and
+ * published; run() and tryRun() are one-config batches. A batch's
+ * simulations run on up to $VCOMA_JOBS threads. Each simulation is
+ * single-threaded and fully deterministic, so a parallel batch is
+ * bit-identical to the same configs run serially; only the wall
+ * clock changes.
  */
 
 #ifndef VCOMA_HARNESS_RUNNER_HH
@@ -98,16 +100,6 @@ struct ExperimentConfig
 [[noreturn]] void applyConfiguredFault(Machine &machine,
                                        const ExperimentConfig &cfg);
 
-/** Record of one config that failed to simulate (graceful sweeps). */
-struct FailedRun
-{
-    ExperimentConfig config;
-    /** The config's cache key (its "hash"). */
-    std::string key;
-    /** Exception text, with workload/scheme/config context. */
-    std::string error;
-};
-
 /**
  * Runs experiments with in-memory + on-disk caching.
  *
@@ -141,15 +133,16 @@ class Runner
     explicit Runner(std::string cacheDir = defaultCacheDir());
 
     /**
-     * Run (or recall) the experiment. Throws SimulationError if the
-     * simulation fails (including a failure recorded by an earlier
-     * run/tryRun/runAll of the same config; those do not re-execute).
+     * tryRun(), throwing SimulationError with the recorded message
+     * when the simulation fails (including a failure recorded by an
+     * earlier run/tryRun/runAll of the same config; those do not
+     * re-execute).
      */
     const RunStats &run(const ExperimentConfig &cfg);
 
     /**
-     * Like run(), but returns nullptr instead of throwing when the
-     * simulation fails; the failure is recorded in failures().
+     * runAll() of the one config @p cfg: nullptr when its simulation
+     * fails, with the failure under failureMessage().
      *
      * When @p freshlyExecuted is non-null it is set to true iff this
      * call actually simulated (a miss in both the memo and the disk
@@ -160,15 +153,14 @@ class Runner
 
     /**
      * Run a batch: configs not already memoised or on disk execute
-     * concurrently on up to min($VCOMA_JOBS, batch) worker threads;
-     * duplicates within the batch run once. Results come back in
-     * submission order and are bit-identical to serial execution.
+     * concurrently on up to min(jobCount(), batch) threads, started
+     * in submission order; duplicates within the batch run once.
+     * Results come back in submission order and are bit-identical to
+     * serial execution.
      *
      * A config whose simulation fails does not abort the sweep: its
-     * slot comes back as nullptr, the failure is recorded in
-     * failures(), and every other config still runs. Set
-     * $VCOMA_STRICT=1 to restore fail-fast (the first failure is
-     * rethrown once the pool drains).
+     * slot comes back as nullptr, the failure is recorded under
+     * failureMessage(), and every other config still runs.
      *
      * Each simulation scheduled also serves its config's lane
      * siblings, so configs differing only in TLB/DLB size, or in the
@@ -184,32 +176,22 @@ class Runner
     runAll(std::span<const ExperimentConfig> cfgs,
            std::vector<bool> *freshlyExecuted = nullptr);
 
-    /** Every failed config recorded so far, in key order. */
-    std::vector<FailedRun> failures() const;
-
-    /** Recorded failure text for @p key, or empty when none. */
+    /**
+     * Recorded failure text (exception text with workload, scheme
+     * and config context) for @p key, or empty when none.
+     */
     std::string failureMessage(const std::string &key) const;
 
     /** $VCOMA_CACHE_DIR, or ".vcoma_cache"; truthy $VCOMA_NO_CACHE -> "". */
     static std::string defaultCacheDir();
 
-    /** Disk-cache budget from $VCOMA_CACHE_MAX_MB in bytes; 0 = unlimited. */
-    static std::uint64_t envCacheMaxBytes();
-
     /**
-     * Delete the oldest-mtime cache entries (*.json files) in @p dir
-     * until the survivors fit in @p maxBytes. Files that are not
-     * cache entries — subdirectories, in-flight *.tmp.* stagings,
-     * anything a user dropped in the directory — are never touched.
-     * Ties on mtime (common within one batch sweep: filesystem
-     * timestamps are coarse) break deterministically by file name,
-     * oldest-name-last, so pruning never depends on directory
-     * iteration order. Runs at Runner construction when
-     * $VCOMA_CACHE_MAX_MB is set.
-     * @return the number of entries removed.
+     * Thread count from $VCOMA_JOBS: a positive integer is taken as
+     * is (at most 1024), 0 or an unset variable means "one per
+     * hardware thread", and anything unparsable warns and falls back
+     * to the hardware count.
      */
-    static unsigned pruneCache(const std::string &dir,
-                               std::uint64_t maxBytes);
+    static unsigned jobCount();
 
     /**
      * Simulations actually executed. One simulation of an untimed
@@ -235,20 +217,18 @@ class Runner
     void store(const std::string &path, const RunStats &stats) const;
     bool storeOnce(const std::string &path, const RunStats &stats,
                    std::string &error) const;
-    /** Execute and publish one cache-missing config. */
-    void executeAndMemoise(const ExperimentConfig &cfg,
-                           const std::string &key);
-    /** executeAndMemoise() configs @p slots of @p cfgs, on the pool. */
+    /**
+     * Execute and publish configs @p slots of @p cfgs on up to
+     * jobCount() threads, recording each failure.
+     */
     void executeAll(std::span<const ExperimentConfig> cfgs,
-                    const std::vector<std::string> &keys,
                     const std::vector<std::size_t> &slots);
-    void recordFailure(const ExperimentConfig &cfg,
-                       const std::string &key, const std::string &error);
 
     std::string cacheDir_;
     mutable std::mutex mutex_; ///< guards memo_ and failed_
     std::map<std::string, RunStats> memo_;
-    std::map<std::string, FailedRun> failed_;
+    /** Failure text by config key. */
+    std::map<std::string, std::string> failed_;
     std::atomic<unsigned> executed_{0};
 };
 

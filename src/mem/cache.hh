@@ -114,15 +114,6 @@ class Cache
             state_[idx] |= stDirty;
     }
 
-    /**
-     * Commit a write miss that allocates nothing (no-write-allocate
-     * policy): the counter is the only side effect access() has.
-     */
-    void commitWriteMissNoAllocate() { ++writeMisses; }
-
-    /** Is line @p idx dirty? */
-    bool dirtyAt(std::uint32_t idx) const { return state_[idx] & stDirty; }
-
     /** Presence check without LRU update or allocation. */
     bool contains(VAddr addr) const { return lookup(addr) != npos; }
 

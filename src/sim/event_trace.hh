@@ -79,7 +79,6 @@ class EventTracer
     void flush(unsigned numNodes);
 
     const std::string &path() const { return path_; }
-    std::size_t pending() const { return events_.size(); }
 
   private:
     struct Event

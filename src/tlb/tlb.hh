@@ -84,7 +84,6 @@ class Tlb
 
     unsigned entries() const { return entries_; }
     unsigned assoc() const { return assoc_; }
-    bool fullyAssociative() const { return assoc_ == 0; }
 
     /** "FA", "DM" or "<k>way" as used in figure labels. */
     std::string organisation() const;

@@ -58,9 +58,6 @@ class AddressSpace
     /** Total bytes allocated (the "Shared Memory" column of Table 1). */
     std::uint64_t totalBytes() const;
 
-    /** One past the highest allocated address. */
-    VAddr highWater() const { return next_; }
-
   private:
     VAddr next_;
     std::vector<Segment> segments_;

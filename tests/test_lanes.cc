@@ -354,7 +354,6 @@ TEST(RunnerLanes, ConfigsWithoutLanesLeaveOnlyTheirOwnEntry)
         EXPECT_EQ(runner.executed(), 2u);
     }
 
-    EnvGuard strict("VCOMA_STRICT", nullptr);
     ExperimentConfig poisoned = laneConfig(Scheme::VCOMA, "UNIFORM", 16);
     poisoned.injectFault = "corrupt-am-state";
     for (const char *jobs : {"1", "4"}) {

@@ -4,13 +4,12 @@
 
 #include <unistd.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <limits>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -463,11 +462,11 @@ TEST(Runner, RunAllCompletesPastFailingConfig)
     const std::size_t bad = 2;
     cfgs[bad].workload = "NO_SUCH_WORKLOAD";
 
-    EnvGuard strict("VCOMA_STRICT", nullptr);
     EnvGuard env("VCOMA_JOBS", "4");
     Runner runner("");
     const auto results = runner.runAll(cfgs);
 
+    // Exactly one failure recorded: the bad config's, and no other.
     ASSERT_EQ(results.size(), cfgs.size());
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
         if (i == bad) {
@@ -475,18 +474,15 @@ TEST(Runner, RunAllCompletesPastFailingConfig)
         } else {
             ASSERT_NE(results[i], nullptr) << "config " << i;
             EXPECT_EQ(results[i]->workload, cfgs[i].workload);
+            EXPECT_EQ(runner.failureMessage(cfgs[i].key()), "")
+                << "config " << i;
         }
     }
 
-    const auto failures = runner.failures();
-    ASSERT_EQ(failures.size(), 1u);
-    EXPECT_EQ(failures[0].key, cfgs[bad].key());
-    EXPECT_NE(failures[0].error.find("NO_SUCH_WORKLOAD"),
-              std::string::npos)
-        << failures[0].error;
-    EXPECT_NE(failures[0].error.find(schemeName(cfgs[bad].scheme)),
-              std::string::npos)
-        << failures[0].error;
+    const std::string error = runner.failureMessage(cfgs[bad].key());
+    EXPECT_NE(error.find("NO_SUCH_WORKLOAD"), std::string::npos) << error;
+    EXPECT_NE(error.find(schemeName(cfgs[bad].scheme)), std::string::npos)
+        << error;
 }
 
 TEST(Runner, RunRethrowsRecordedFailureWithoutReExecuting)
@@ -494,7 +490,6 @@ TEST(Runner, RunRethrowsRecordedFailureWithoutReExecuting)
     ExperimentConfig bad = tinyExperiment();
     bad.workload = "NO_SUCH_WORKLOAD";
 
-    EnvGuard strict("VCOMA_STRICT", nullptr);
     Runner runner("");
     EXPECT_EQ(runner.tryRun(bad), nullptr);
     const unsigned executedOnce = runner.executed();
@@ -502,17 +497,6 @@ TEST(Runner, RunRethrowsRecordedFailureWithoutReExecuting)
     EXPECT_EQ(runner.tryRun(bad), nullptr);
     EXPECT_EQ(runner.executed(), executedOnce)
         << "a recorded failure must not re-execute";
-}
-
-TEST(Runner, StrictModeFailsFast)
-{
-    std::vector<ExperimentConfig> cfgs = tinyBatch();
-    cfgs[0].workload = "NO_SUCH_WORKLOAD";
-
-    EnvGuard strict("VCOMA_STRICT", "1");
-    EnvGuard env("VCOMA_JOBS", "2");
-    Runner runner("");
-    EXPECT_THROW(runner.runAll(cfgs), SimulationError);
 }
 
 TEST(Runner, RunAllMixedPoisonedBatchKeepsOrderAndRecords)
@@ -524,17 +508,16 @@ TEST(Runner, RunAllMixedPoisonedBatchKeepsOrderAndRecords)
     cfgs[1].injectFault = "corrupt-am-state";
     cfgs[2].seed = 7;
 
-    EnvGuard strict("VCOMA_STRICT", nullptr);
     Runner runner("");
     const auto results = runner.runAll(cfgs);
     EXPECT_NE(results.at(0), nullptr);
     EXPECT_EQ(results.at(1), nullptr);
     EXPECT_NE(results.at(2), nullptr);
-    const auto failures = runner.failures();
-    ASSERT_EQ(failures.size(), 1u);
-    EXPECT_EQ(failures[0].key, cfgs[1].key());
-    EXPECT_NE(failures[0].error.find("corrupt-am-state"),
+    // Exactly one failure recorded: the poisoned config's.
+    EXPECT_EQ(runner.failureMessage(cfgs[0].key()), "");
+    EXPECT_NE(runner.failureMessage(cfgs[1].key()).find("corrupt-am-state"),
               std::string::npos);
+    EXPECT_EQ(runner.failureMessage(cfgs[2].key()), "");
 }
 
 TEST(Runner, UnknownFaultClassFailsTheConfigNotTheRunner)
@@ -577,7 +560,46 @@ TEST(Runner, TryRunReturnsStatsOnSuccess)
     const RunStats *stats = runner.tryRun(tinyExperiment());
     ASSERT_NE(stats, nullptr);
     EXPECT_EQ(stats, &runner.run(tinyExperiment()));
-    EXPECT_TRUE(runner.failures().empty());
+    EXPECT_EQ(runner.failureMessage(tinyExperiment().key()), "");
+}
+
+TEST(Runner, JobCountHonoursVcomaJobs)
+{
+    {
+        EnvGuard env("VCOMA_JOBS", "3");
+        EXPECT_EQ(Runner::jobCount(), 3u);
+    }
+    const unsigned hw =
+        std::max(std::thread::hardware_concurrency(), 1u);
+    {
+        EnvGuard env("VCOMA_JOBS", nullptr);
+        EXPECT_EQ(Runner::jobCount(), hw);
+    }
+    {
+        // 0 means "auto": one thread per hardware thread.
+        EnvGuard env("VCOMA_JOBS", "0");
+        EXPECT_EQ(Runner::jobCount(), hw);
+    }
+    {
+        // Garbage warns and falls back to the hardware count.
+        EnvGuard env("VCOMA_JOBS", "many");
+        EXPECT_EQ(Runner::jobCount(), hw);
+    }
+    {
+        // Negative counts must not wrap through strtoul into a huge
+        // thread count; they fall back like any other garbage.
+        EnvGuard env("VCOMA_JOBS", "-2");
+        EXPECT_EQ(Runner::jobCount(), hw);
+    }
+    {
+        EnvGuard env("VCOMA_JOBS", " -16");
+        EXPECT_EQ(Runner::jobCount(), hw);
+    }
+    {
+        // Trailing garbage after a number is rejected too.
+        EnvGuard env("VCOMA_JOBS", "4x");
+        EXPECT_EQ(Runner::jobCount(), hw);
+    }
 }
 
 TEST(RunStats, DerivedMetrics)
@@ -593,159 +615,6 @@ TEST(RunStats, DerivedMetrics)
     EXPECT_DOUBLE_EQ(stats.missesPerNode(8, 0, false),
                      static_cast<double>(p.demandMisses) / 32.0);
     EXPECT_THROW(stats.shadowPoint(9999, 0), FatalError);
-}
-
-namespace
-{
-
-/** Create @p path with @p bytes of filler and an mtime @p ageHours old. */
-void
-plantCacheFile(const std::filesystem::path &path, std::size_t bytes,
-               int ageHours)
-{
-    std::ofstream out(path);
-    out << std::string(bytes, 'x');
-    out.close();
-    std::filesystem::last_write_time(
-        path, std::filesystem::file_time_type::clock::now() -
-                  std::chrono::hours(ageHours));
-}
-
-} // namespace
-
-TEST(Runner, PruneCacheKeepsNewestEntriesWithinBudget)
-{
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path);
-    // Four 1000-byte entries, oldest first.
-    plantCacheFile(tmp.path / "a.json", 1000, 4);
-    plantCacheFile(tmp.path / "b.json", 1000, 3);
-    plantCacheFile(tmp.path / "c.json", 1000, 2);
-    plantCacheFile(tmp.path / "d.json", 1000, 1);
-
-    EXPECT_EQ(Runner::pruneCache(tmp.path.string(), 2000), 2u);
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "a.json"));
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "b.json"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "c.json"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "d.json"));
-}
-
-TEST(Runner, PruneCacheIsANoopUnderBudget)
-{
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path);
-    plantCacheFile(tmp.path / "a.json", 100, 2);
-    plantCacheFile(tmp.path / "b.json", 100, 1);
-    EXPECT_EQ(Runner::pruneCache(tmp.path.string(), 200), 0u);
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "a.json"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "b.json"));
-    // A missing directory is quietly nothing to prune.
-    EXPECT_EQ(Runner::pruneCache((tmp.path / "absent").string(), 1),
-              0u);
-}
-
-TEST(Runner, PruneCacheNeverTouchesForeignFiles)
-{
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path / "subdir");
-    plantCacheFile(tmp.path / "old.json", 5000, 2);
-    // Not cache entries: wrong extension, a staging temp (its
-    // extension is the pid suffix, not .json), and a nested file.
-    plantCacheFile(tmp.path / "README.md", 100, 3);
-    plantCacheFile(tmp.path / "entry.json.tmp.1234", 100, 3);
-    plantCacheFile(tmp.path / "subdir" / "nested.json", 100, 3);
-
-    EXPECT_EQ(Runner::pruneCache(tmp.path.string(), 1), 1u);
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "old.json"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "README.md"));
-    EXPECT_TRUE(
-        std::filesystem::exists(tmp.path / "entry.json.tmp.1234"));
-    EXPECT_TRUE(
-        std::filesystem::exists(tmp.path / "subdir" / "nested.json"));
-}
-
-TEST(Runner, PruneCacheBreaksEqualMtimesByName)
-{
-    // Entries written within one batch sweep routinely share an mtime
-    // (filesystem timestamps are coarse); the victim choice must then
-    // depend on the file name only, never on directory iteration
-    // order. Equal-mtime entries survive in name order: the earliest
-    // names are kept, the latest pruned.
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path);
-    // Deliberately planted in scrambled order, then pinned to one
-    // shared mtime (plantCacheFile's per-call "now" would differ by
-    // microseconds and dodge the tie).
-    const auto stamp = std::filesystem::file_time_type::clock::now() -
-                       std::chrono::hours(1);
-    for (const char *name : {"c.json", "a.json", "d.json", "b.json"}) {
-        plantCacheFile(tmp.path / name, 1000, 1);
-        std::filesystem::last_write_time(tmp.path / name, stamp);
-    }
-
-    EXPECT_EQ(Runner::pruneCache(tmp.path.string(), 2000), 2u);
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "a.json"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "b.json"));
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "c.json"));
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "d.json"));
-}
-
-TEST(Runner, PruneCacheMtimeStillBeatsName)
-{
-    // The name is only the tie-break: a strictly older entry is
-    // pruned first however late its name sorts.
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path);
-    plantCacheFile(tmp.path / "z_old.json", 1000, 5);
-    plantCacheFile(tmp.path / "a_new.json", 1000, 1);
-    EXPECT_EQ(Runner::pruneCache(tmp.path.string(), 1000), 1u);
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "z_old.json"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "a_new.json"));
-}
-
-TEST(Runner, EnvCacheMaxBytesParsesStrictly)
-{
-    constexpr std::uint64_t mib = 1024 * 1024;
-    {
-        EnvGuard env("VCOMA_CACHE_MAX_MB", nullptr);
-        EXPECT_EQ(Runner::envCacheMaxBytes(), 0u);
-    }
-    {
-        EnvGuard env("VCOMA_CACHE_MAX_MB", "7");
-        EXPECT_EQ(Runner::envCacheMaxBytes(), 7 * mib);
-    }
-    {
-        EnvGuard env("VCOMA_CACHE_MAX_MB", " 5");
-        EXPECT_EQ(Runner::envCacheMaxBytes(), 5 * mib);
-    }
-    {   // Unbounded, with a warning: never guess a budget.
-        EnvGuard env("VCOMA_CACHE_MAX_MB", "-3");
-        EXPECT_EQ(Runner::envCacheMaxBytes(), 0u);
-    }
-    {
-        EnvGuard env("VCOMA_CACHE_MAX_MB", "12cats");
-        EXPECT_EQ(Runner::envCacheMaxBytes(), 0u);
-    }
-    {   // MB -> bytes saturates instead of wrapping.
-        EnvGuard env("VCOMA_CACHE_MAX_MB", "99999999999999999999");
-        EXPECT_EQ(Runner::envCacheMaxBytes(),
-                  std::numeric_limits<std::uint64_t>::max());
-    }
-}
-
-TEST(Runner, ConstructionPrunesAnOversizedCache)
-{
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path);
-    // Two entries totalling ~1.4 MiB against a 1 MB budget: the
-    // Runner's constructor must evict the older one.
-    plantCacheFile(tmp.path / "old.json", 700 * 1024, 2);
-    plantCacheFile(tmp.path / "new.json", 700 * 1024, 1);
-
-    EnvGuard env("VCOMA_CACHE_MAX_MB", "1");
-    Runner runner(tmp.path.string());
-    EXPECT_FALSE(std::filesystem::exists(tmp.path / "old.json"));
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "new.json"));
 }
 
 TEST(Runner, StaleV3CacheFileIsRejected)

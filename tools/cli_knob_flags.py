@@ -6,8 +6,10 @@ its default, at a tiny scale, and passes `Config.knob_flags()` to
 `vcoma_client direct` (its provenance key must equal `Config.key()`)
 and to `vcoma_client run --jsonl` (its sheet must equal direct's byte
 for byte). A second config sets only its size, so the two commands
-must also agree with the spec on every default. The result cache
-lives under WORK_DIR.
+must also agree with the spec on every default. A missing `TRACE:`
+file with a non-ASCII name must fail `direct` under `Config.key()`,
+so the sweep can match the failure line to its config. The result
+cache lives under WORK_DIR.
 
     python3 cli_knob_flags.py path/to/vcoma_client WORK_DIR
 """
@@ -69,6 +71,23 @@ def same_sheet(binary, work, env, config, knob_flags):
     print(f"ok: {config.key()}")
 
 
+def missing_trace_key(binary, work, env):
+    """direct's failure line for a missing non-ASCII TRACE: file names
+    the key the spec computes."""
+    config = Config("trace", "TRACE:" + os.path.join(work, "é.vctrace"),
+                    "V-COMA", {n: d for n, (_t, _f, d) in KNOBS.items()})
+    proc = subprocess.run(
+        [binary, "direct", "--workload", config.workload, "--scheme",
+         config.scheme, "--jsonl", os.path.join(work, "trace.jsonl")],
+        env=env, capture_output=True, text=True)
+    want = f"vcoma_client: {config.key()}: failed: "
+    if proc.returncode != 1 or not any(
+            line.startswith(want) for line in proc.stderr.splitlines()):
+        sys.exit(f"direct (exit {proc.returncode}) did not fail as "
+                 f"{config.key()}:\n{proc.stderr}")
+    print(f"ok: {config.key()}")
+
+
 def main(binary, work):
     if set(VALUES) != set(KNOBS):
         sys.exit(f"VALUES must cover exactly KNOBS: {sorted(KNOBS)}")
@@ -83,6 +102,7 @@ def main(binary, work):
     same_sheet(binary, work, env, DEFAULTS,
                ["--nodes", str(VALUES["nodes"]),
                 "--scale", str(VALUES["scale"])])
+    missing_trace_key(binary, work, env)
 
 
 if __name__ == "__main__":

@@ -210,12 +210,14 @@ def _fmt_double(v):
 
 def _sanitize_key_component(s):
     """Mirror of runner.cc sanitizeKeyComponent(): filesystem-safe
-    characters pass through, anything else becomes '_' plus an FNV-1a
+    ASCII characters pass through, any other byte of the UTF-8
+    spelling becomes '_', and a dirty component gains an FNV-1a
     disambiguating suffix."""
+    raw = s.encode("utf-8", "surrogateescape")
     out = []
     dirty = False
-    for c in s:
-        if c.isalnum() or c in "._-=,":
+    for c in map(chr, raw):
+        if (c.isascii() and c.isalnum()) or c in "._-=,":
             out.append(c)
         else:
             out.append("_")
@@ -223,8 +225,8 @@ def _sanitize_key_component(s):
     if not dirty:
         return "".join(out)
     h = 1469598103934665603
-    for c in s.encode("utf-8", "surrogateescape"):
-        h ^= c
+    for b in raw:
+        h ^= b
         h = (h * 1099511628211) % (1 << 64)
     return "".join(out) + "-h" + format((h ^ (h >> 32)) & 0xffffffff, "08x")
 

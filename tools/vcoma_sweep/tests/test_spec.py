@@ -91,6 +91,14 @@ class KeyMirrorTest(unittest.TestCase):
     def test_sanitize_clean_string_untouched(self):
         self.assertEqual(M._sanitize_key_component("RADIX"), "RADIX")
 
+    def test_sanitize_non_ascii_matches_cxx_bytes(self):
+        # runner.cc sanitises UTF-8 bytes with the C locale's isalnum:
+        # 'é' is two non-alphanumeric bytes, so two '_'. The pinned
+        # component is what vcoma_client prints for this workload.
+        self.assertEqual(
+            M._sanitize_key_component("TRACE:/traces/é.vctrace"),
+            "TRACE__traces___.vctrace-h379076b6")
+
     def test_fmt_double_matches_ostream(self):
         self.assertEqual(M._fmt_double(1.0), "1")
         self.assertEqual(M._fmt_double(0.05), "0.05")
